@@ -33,7 +33,7 @@ if _want_numba:
         from numba import njit
 
         HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+    except ImportError:  # numba is the optional [numba] extra
         HAS_NUMBA = False
 else:
     HAS_NUMBA = False

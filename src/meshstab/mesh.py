@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -413,9 +414,21 @@ class FrameMesh:
     def n_features(self) -> int:
         return int(self.feature_points.shape[0])
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.vstack([self.feature_points, self.control_points])
+        """All vertex positions, features then controls (read-only)."""
+        pts = np.vstack([self.feature_points, self.control_points])
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def adjacency_array(self) -> np.ndarray:
+        """adjacency as a read-only (P, 4) int array of rows (i, j, u, v)."""
+        arr = np.array(
+            [(i, j, u, v) for i, j, (u, v) in self.adjacency], dtype=np.int64
+        ).reshape(-1, 4)
+        arr.flags.writeable = False
+        return arr
 
     def vertex_is_control(self, v: int) -> bool:
         return v >= self.n_features

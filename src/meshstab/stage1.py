@@ -25,6 +25,8 @@ Terms:
 
 Geometry coefficients (similarity and barycentric coordinates) always come
 from the original, observed meshes; only vertex positions are unknowns.
+The two shape terms are built as whole-array rows over mesh-local vertex
+coordinates by intersim_rows and intrasim_rows, which stage 2 shares.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DegenerateGeometryError, SolverError
-from .mesh import FrameMesh, barycentric, build_all_meshes
+from .mesh import AREA_EPS, FrameMesh, _orient, build_all_meshes
 from .trajectory import FeatureTrajectory, TrajectorySet
 from .weights import (
     LsmParams,
@@ -50,8 +52,11 @@ __all__ = [
     "StageOneConfig",
     "UnknownIndex",
     "QuadraticProblem",
+    "gram_entries",
     "add_smooth1",
     "add_smooth2",
+    "intersim_rows",
+    "intrasim_rows",
     "add_intersim",
     "add_intrasim",
     "add_reg",
@@ -137,6 +142,18 @@ class UnknownIndex:
         return TrajectorySet(tuple(trajs), self.frame_count, self.frame_size)
 
 
+def gram_entries(
+    w: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate-form (i, j, value) entries of sum_r w[r] q_r q_r', where
+    row r of the residuals has coefficients coefs[r] at columns cols[r]."""
+    r, m = cols.shape
+    wcc = w[:, None, None] * (coefs[:, :, None] * coefs[:, None, :])
+    return (np.broadcast_to(cols[:, :, None], (r, m, m)).ravel(),
+            np.broadcast_to(cols[:, None, :], (r, m, m)).ravel(),
+            wcc.ravel())
+
+
 class QuadraticProblem:
     """Accumulates weighted squared residuals sum w (q'x - t)^2.
 
@@ -153,7 +170,6 @@ class QuadraticProblem:
         self._cv: list[np.ndarray] = []
         self.b = np.zeros(self.n)
         self.const = 0.0
-        self.n_residuals = 0
         self._mat: scipy.sparse.csr_matrix | None = None
 
     def add_batch(
@@ -183,26 +199,17 @@ class QuadraticProblem:
         if cols.min() < 0 or cols.max() >= self.n:
             raise IndexError("residual column out of range")
 
-        wcc = w[:, None, None] * (coefs[:, :, None] * coefs[:, None, :])
-        self._ci.append(np.broadcast_to(cols[:, :, None], (r, m, m)).ravel())
-        self._cj.append(np.broadcast_to(cols[:, None, :], (r, m, m)).ravel())
-        self._cv.append(wcc.ravel())
+        i, j, v = gram_entries(w, cols, coefs)
+        self._ci.append(i)
+        self._cj.append(j)
+        self._cv.append(v)
         if targets is not None:
             t = np.broadcast_to(np.asarray(targets, dtype=np.float64), (r,))
             if not np.all(np.isfinite(t)):
                 raise ValueError("non-finite residual target")
             np.add.at(self.b, cols.ravel(), ((w * t)[:, None] * coefs).ravel())
             self.const += float(w @ (t * t))
-        self.n_residuals += r
         self._mat = None
-
-    def add_residual(self, weight, cols, coefs, target=0.0) -> None:
-        self.add_batch(
-            np.asarray([weight]),
-            np.asarray([cols]),
-            np.asarray([coefs]),
-            np.asarray([target]),
-        )
 
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self._mat is None:
@@ -350,6 +357,73 @@ def _feature_columns(prob: QuadraticProblem, mesh: FrameMesh) -> np.ndarray:
     )
 
 
+def intersim_rows(mesh: FrameMesh, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity reconstruction rows over the triangles `which` of a mesh.
+
+    For each triangle and each vertex v1 in turn, v1 is rebuilt from the
+    other two vertices (v2, v3) through its similarity coordinates (a, b)
+    in the original triangle:
+      x: (1-a) x2 + a x3 - b y2 + b y3 - x1
+      y: (1-a) y2 + a y3 + b x2 - b x3 - y1
+    Returns mesh-local coordinates k = 2*v + axis and coefficients, both
+    (6K, 5), rows ordered by role, then axis, then triangle.  The last
+    column is always the reconstructed vertex v1.
+    """
+    tri = mesh.triangles[which].T  # (3, K)
+    v1, v2, v3 = tri, np.roll(tri, -1, axis=0), np.roll(tri, -2, axis=0)
+    pts = mesh.points
+    e = pts[v3] - pts[v2]
+    d = pts[v1] - pts[v2]
+    l2 = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
+    if np.any(l2 <= 0.0):
+        raise DegenerateGeometryError(f"zero-length triangle edge in frame {mesh.frame}")
+    a = (d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1]) / l2
+    bb = (d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]) / l2
+    one = np.ones_like(a)
+    k = np.stack([
+        np.stack([2 * v2, 2 * v3, 2 * v2 + 1, 2 * v3 + 1, 2 * v1], axis=-1),
+        np.stack([2 * v2 + 1, 2 * v3 + 1, 2 * v2, 2 * v3, 2 * v1 + 1], axis=-1),
+    ], axis=1)
+    c = np.stack([
+        np.stack([1.0 - a, a, -bb, bb, -one], axis=-1),
+        np.stack([1.0 - a, a, bb, -bb, -one], axis=-1),
+    ], axis=1)
+    return k.reshape(-1, 5), c.reshape(-1, 5)
+
+
+def intrasim_rows(mesh: FrameMesh, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric consistency rows over adjacent triangle pairs of a mesh.
+
+    pairs holds rows (i, j, u, v) of mesh.adjacency_array.  The vertex of
+    each triangle opposite the shared edge (u, v) is written in the other
+    triangle's barycentric frame (wa, wb, wc) and rebuilt from its three
+    vertices: wa p0 + wb p1 + wc p2 - p_opp, per axis.  Returns mesh-local
+    coordinates k = 2*v + axis and coefficients, both (4P, 4), rows ordered
+    by pair, then direction (opposite of i first), then axis.
+    """
+    ti = mesh.triangles[pairs[:, 0]]
+    tj = mesh.triangles[pairs[:, 1]]
+    uv = pairs[:, 2] + pairs[:, 3]
+    opp = np.stack([ti.sum(axis=1) - uv, tj.sum(axis=1) - uv], axis=1)  # (P, 2)
+    other = np.stack([tj, ti], axis=1)  # (P, 2, 3)
+    pts = mesh.points.T  # coordinate first, as _orient indexes it
+    p, q = pts[:, opp], pts[:, other]
+    q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
+    denom = _orient(q0, q1, q2)
+    if np.any(np.abs(denom) <= 2.0 * AREA_EPS):
+        raise DegenerateGeometryError("barycentric weights of a degenerate triangle")
+    w = np.stack([
+        _orient(p, q1, q2) / denom,
+        _orient(q0, p, q2) / denom,
+        _orient(q0, q1, p) / denom,
+        -np.ones_like(denom),
+    ], axis=-1)  # (P, 2, 4)
+    verts = np.concatenate([other, opp[..., None]], axis=-1)  # (P, 2, 4)
+    k = 2 * verts[:, :, None, :] + np.arange(2)[:, None]  # (P, 2, 2, 4)
+    c = np.broadcast_to(w[:, :, None, :], k.shape)
+    return k.reshape(-1, 4), c.reshape(-1, 4)
+
+
 def add_intersim(
     prob: QuadraticProblem,
     ts: TrajectorySet,
@@ -359,48 +433,17 @@ def add_intersim(
 ) -> None:
     """Shape preservation over inner triangles.
 
-    For each inner triangle and each of its three vertices in turn, the
-    vertex is reconstructed from the other two using the original
-    triangle's local similarity coordinates; the squared reconstruction
-    error is weighted by gamma times the reconstructed vertex's local
-    motion-fit weight.  Frames without inner triangles contribute nothing.
+    Every intersim row of each inner triangle is weighted by gamma times
+    the reconstructed vertex's local motion-fit weight.  Frames without
+    inner triangles contribute nothing.
     """
     for mesh in meshes:
-        tri = mesh.triangles[mesh.inner]
-        if tri.shape[0] == 0:
+        if mesh.inner.size == 0:
             continue
-        t = mesh.frame
-        pts = mesh.points
+        k, c = intersim_rows(mesh, mesh.inner)
+        lsw = np.array([lsm_table.get(mesh.frame, int(tid)) for tid in mesh.feature_ids])
         colx = _feature_columns(prob, mesh)
-        coly = colx + 1
-        lsw = np.array([lsm_table.get(t, int(tid)) for tid in mesh.feature_ids])
-        for role in range(3):
-            v1 = tri[:, role]
-            v2 = tri[:, (role + 1) % 3]
-            v3 = tri[:, (role + 2) % 3]
-            e = pts[v3] - pts[v2]
-            d = pts[v1] - pts[v2]
-            l2 = np.einsum("ij,ij->i", e, e)
-            if np.any(l2 <= 0.0):
-                raise DegenerateGeometryError(
-                    f"zero-length triangle edge in frame {t}"
-                )
-            a = np.einsum("ij,ij->i", d, e) / l2
-            bb = (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]) / l2
-            w = cfg.gamma * lsw[v1]
-            one = np.ones_like(a)
-            # x residual: (1-a) x2 + a x3 - b y2 + b y3 - x1
-            prob.add_batch(
-                w,
-                np.stack([colx[v2], colx[v3], coly[v2], coly[v3], colx[v1]], axis=1),
-                np.stack([1.0 - a, a, -bb, bb, -one], axis=1),
-            )
-            # y residual: (1-a) y2 + a y3 + b x2 - b x3 - y1
-            prob.add_batch(
-                w,
-                np.stack([coly[v2], coly[v3], colx[v2], colx[v3], coly[v1]], axis=1),
-                np.stack([1.0 - a, a, bb, -bb, -one], axis=1),
-            )
+        prob.add_batch(cfg.gamma * lsw[k[:, -1] // 2], colx[k // 2] + k % 2, c)
 
 
 def add_intrasim(
@@ -409,42 +452,18 @@ def add_intrasim(
     meshes: list[FrameMesh],
     cfg: StageOneConfig,
 ) -> None:
-    """Cross-triangle consistency over adjacent inner pairs.
+    """Cross-triangle consistency over adjacent inner pairs, weighted epsilon.
 
-    For each unordered adjacent pair, the vertex of each triangle opposite
-    the shared edge is written in the other triangle's barycentric frame
-    (from original positions) and reconstructed from stabilized vertices;
-    both reconstructions are penalized once.
+    Each unordered pair contributes both reconstructions once.
     """
     for mesh in meshes:
-        inner = set(int(i) for i in mesh.inner)
-        if not inner:
+        pairs = mesh.adjacency_array
+        pairs = pairs[np.isin(pairs[:, :2], mesh.inner).all(axis=1)]
+        if pairs.shape[0] == 0:
             continue
-        pts = mesh.points
+        k, c = intrasim_rows(mesh, pairs)
         colx = _feature_columns(prob, mesh)
-        coly = colx + 1
-        cols_rows: list[np.ndarray] = []
-        coef_rows: list[np.ndarray] = []
-        for i, j, (u, v) in mesh.adjacency:
-            if i not in inner or j not in inner:
-                continue
-            ti = mesh.triangles[i]
-            tj = mesh.triangles[j]
-            opp_i = int(ti[(ti != u) & (ti != v)][0])
-            opp_j = int(tj[(tj != u) & (tj != v)][0])
-            for opp, other in ((opp_i, tj), (opp_j, ti)):
-                wa, wb, wc = barycentric(
-                    pts[opp], pts[other[0]], pts[other[1]], pts[other[2]]
-                )
-                for cax in (colx, coly):
-                    cols_rows.append(np.array(
-                        [cax[other[0]], cax[other[1]], cax[other[2]], cax[opp]]
-                    ))
-                    coef_rows.append(np.array([wa, wb, wc, -1.0]))
-        if cols_rows:
-            prob.add_batch(
-                cfg.epsilon, np.array(cols_rows), np.array(coef_rows)
-            )
+        prob.add_batch(cfg.epsilon, colx[k // 2] + k % 2, c)
 
 
 def assemble_stage1(

@@ -1,12 +1,21 @@
 """Per-frame solves for stabilized border control points.
 
-Stage 1 fixes the feature vertices; this stage moves only the 36 border
+Stage 1 fixes the feature vertices; this stage moves only the border
 controls of each frame so the outer triangles deform consistently with the
-stabilized interior.  The energy reuses the two shape terms (similarity
-reconstruction over outer triangles, barycentric consistency across
-adjacent triangles touching an outer one), with feature vertices
-substituted by their already-solved positions.  Each frame is an
-independent 72-unknown dense problem.
+stabilized interior.  It minimizes the same two shape terms as stage 1,
+built by the same row builders (stage1.intersim_rows/intrasim_rows):
+similarity reconstruction over the outer triangles, weighted gamma, and
+barycentric consistency over every adjacent pair touching an outer
+triangle, weighted epsilon once per outer triangle in the pair.
+
+The rows are built over all 2(F+C) vertex coordinates of the frame, F
+features first, and summed into one dense quadratic form A.  Splitting A
+at 2F into feature and control blocks and substituting the stabilized
+feature coordinates f leaves a dense 2C-unknown problem per frame,
+
+    E(x) = x' A_cc x + 2 x' A_cf f + f' A_ff f,
+
+solved by Cholesky.  Frames are independent of each other.
 
 There is no tie to original control positions, so a frame without enough
 fixed anchors (fewer than 2 non-coincident features) leaves a similarity
@@ -21,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .mesh import FrameMesh, barycentric
-from .stage1 import StageOneConfig
+from .mesh import FrameMesh
+from .stage1 import StageOneConfig, gram_entries, intersim_rows, intrasim_rows
 from .trajectory import TrajectorySet
 
 __all__ = [
     "StageTwoFrameProblem",
     "StabilizedControlPoints",
-    "add_outer_intersim",
-    "add_outer_intrasim",
     "assemble_stage2_frame",
     "solve_frame",
     "solve_stage2",
@@ -39,137 +46,29 @@ __all__ = [
 SINGULAR_EIG_RATIO = 1e-10
 
 
+@dataclass(frozen=True)
 class StageTwoFrameProblem:
-    """Dense accumulator for sum w (q'x - t)^2 over one frame's controls.
+    """One frame's objective x' a x - 2 b' x + const over its controls.
 
-    x stacks the control points as (c0x, c0y, c1x, c1y, ...).  Small enough
-    (72 unknowns) that a dense symmetric matrix is the simplest correct
-    representation.
+    x stacks the control points as (c0x, c0y, c1x, c1y, ...).
     """
 
-    def __init__(self, n_controls: int):
-        self.n_controls = n_controls
-        self.n = 2 * n_controls
-        self.a = np.zeros((self.n, self.n))
-        self.b = np.zeros(self.n)
-        self.const = 0.0
-        self.n_residuals = 0
+    a: np.ndarray
+    b: np.ndarray
+    const: float
 
-    def col(self, control: int, axis: int) -> int:
-        return 2 * control + axis
-
-    def add_residual(self, weight: float, cols, coefs, target: float = 0.0) -> None:
-        cols = np.asarray(cols, dtype=np.int64)
-        coefs = np.asarray(coefs, dtype=np.float64)
-        if weight < 0.0 or not np.isfinite(weight):
-            raise ValueError(f"bad residual weight {weight}")
-        if cols.size == 0:
-            self.const += weight * target * target
-            return
-        self.a[np.ix_(cols, cols)] += weight * np.outer(coefs, coefs)
-        self.b[cols] += weight * target * coefs
-        self.const += weight * target * target
-        self.n_residuals += 1
+    @property
+    def n(self) -> int:
+        return int(self.b.shape[0])
 
     def objective(self, x: np.ndarray) -> float:
         return float(x @ (self.a @ x) - 2.0 * (self.b @ x) + self.const)
 
 
-def _vertex_term(
-    mesh: FrameMesh, stab_feat: np.ndarray, v: int, axis: int, coef: float,
-    cols: list[int], coefs: list[float],
-) -> float:
-    """Route one residual term to an unknown column or a fixed value.
-
-    Returns the fixed contribution (0 for control vertices).
-    """
-    nf = mesh.n_features
-    if v >= nf:
-        cols.append(2 * (v - nf) + axis)
-        coefs.append(coef)
-        return 0.0
-    return coef * float(stab_feat[v, axis])
-
-
-def add_outer_intersim(
-    prob: StageTwoFrameProblem,
-    mesh: FrameMesh,
-    stab_feat: np.ndarray,
-    gamma: float,
-) -> None:
-    """Similarity reconstruction over outer triangles, all 3 vertex roles.
-
-    Coordinates (a, b) come from the original triangle; stabilized feature
-    vertices enter as constants, control vertices as unknowns.
-    """
-    pts = mesh.points
-    for k in mesh.outer:
-        tri = mesh.triangles[k]
-        for role in range(3):
-            v1 = int(tri[role])
-            v2 = int(tri[(role + 1) % 3])
-            v3 = int(tri[(role + 2) % 3])
-            e = pts[v3] - pts[v2]
-            d = pts[v1] - pts[v2]
-            l2 = float(e @ e)
-            a = float(d @ e) / l2
-            bb = float(d[0] * e[1] - d[1] * e[0]) / l2
-            # x: (1-a) x2 + a x3 - b y2 + b y3 - x1
-            # y: (1-a) y2 + a y3 + b x2 - b x3 - y1
-            for axis, terms in (
-                (0, [(v2, 0, 1.0 - a), (v3, 0, a), (v2, 1, -bb), (v3, 1, bb), (v1, 0, -1.0)]),
-                (1, [(v2, 1, 1.0 - a), (v3, 1, a), (v2, 0, bb), (v3, 0, -bb), (v1, 1, -1.0)]),
-            ):
-                cols: list[int] = []
-                coefs: list[float] = []
-                fixed = 0.0
-                for v, ax, cf in terms:
-                    fixed += _vertex_term(mesh, stab_feat, v, ax, cf, cols, coefs)
-                prob.add_residual(gamma, cols, coefs, target=-fixed)
-
-
-def add_outer_intrasim(
-    prob: StageTwoFrameProblem,
-    mesh: FrameMesh,
-    stab_feat: np.ndarray,
-    epsilon: float,
-) -> None:
-    """Barycentric consistency for every outer triangle and each neighbor.
-
-    For outer triangle i and adjacent triangle j (inner or outer), the
-    vertex of i opposite the shared edge is reconstructed in j's frame and
-    vice versa.  The iteration is literal over (outer i, neighbor j), so an
-    adjacent outer-outer pair contributes from both directions.
-    """
-    neighbors: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j, edge in mesh.adjacency:
-        neighbors.setdefault(i, []).append((j, edge))
-        neighbors.setdefault(j, []).append((i, edge))
-    pts = mesh.points
-    outer = set(int(k) for k in mesh.outer)
-    for i in sorted(outer):
-        for j, (u, v) in neighbors.get(i, []):
-            ti = mesh.triangles[i]
-            tj = mesh.triangles[j]
-            opp_i = int(ti[(ti != u) & (ti != v)][0])
-            opp_j = int(tj[(tj != u) & (tj != v)][0])
-            for opp, other in ((opp_i, tj), (opp_j, ti)):
-                wa, wb, wc = barycentric(
-                    pts[opp], pts[other[0]], pts[other[1]], pts[other[2]]
-                )
-                weights = (wa, wb, wc)
-                for axis in (0, 1):
-                    cols: list[int] = []
-                    coefs: list[float] = []
-                    fixed = 0.0
-                    for vv, cf in zip(other, weights):
-                        fixed += _vertex_term(
-                            mesh, stab_feat, int(vv), axis, float(cf), cols, coefs
-                        )
-                    fixed += _vertex_term(
-                        mesh, stab_feat, opp, axis, -1.0, cols, coefs
-                    )
-                    prob.add_residual(epsilon, cols, coefs, target=-fixed)
+def _gram(n: int, k: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense n x n sum over rows r of w[r] q_r q_r', q_r = c[r] at k[r]."""
+    i, j, v = gram_entries(w, k, c)
+    return np.bincount(i * n + j, v, minlength=n * n).reshape(n, n)
 
 
 def assemble_stage2_frame(
@@ -184,10 +83,21 @@ def assemble_stage2_frame(
             f"stabilized features shape {stab_feat.shape} does not match "
             f"mesh with {mesh.n_features} features"
         )
-    prob = StageTwoFrameProblem(mesh.control_points.shape[0])
-    add_outer_intersim(prob, mesh, stab_feat, cfg.gamma)
-    add_outer_intrasim(prob, mesh, stab_feat, cfg.epsilon)
-    return prob
+    n = 2 * mesh.points.shape[0]
+    pairs = mesh.adjacency_array
+    n_outer = np.isin(pairs[:, :2], mesh.outer).sum(axis=1)
+    touching = n_outer > 0
+    k1, c1 = intersim_rows(mesh, mesh.outer)
+    k2, c2 = intrasim_rows(mesh, pairs[touching])
+    a = (_gram(n, k1, c1, np.full(k1.shape[0], cfg.gamma))
+         + _gram(n, k2, c2, np.repeat(cfg.epsilon * n_outer[touching], 4)))
+    nf = 2 * mesh.n_features
+    f = stab_feat.ravel()
+    return StageTwoFrameProblem(
+        a=a[nf:, nf:].copy(),
+        b=-(a[nf:, :nf] @ f),
+        const=float(f @ (a[:nf, :nf] @ f)),
+    )
 
 
 def solve_frame(prob: StageTwoFrameProblem) -> np.ndarray | None:

@@ -44,6 +44,7 @@ log = logging.getLogger(__name__)
 
 CROP_SEARCH_ITERS = 32
 _CROP_EPS = 1e-9
+_AFFINE_TOL = 1e-9  # px; triangle_affine hits its vertices well within this
 
 
 def triangle_affine(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -398,6 +399,7 @@ def load_warpfield(path: str | Path) -> WarpField:
             raise ParseError(f"fewer vertices ({nvert}) than controls ({nc})", line=ln)
         affines = np.empty((ntri, 2, 3))
         tris = np.empty((ntri, 3), dtype=np.int64)
+        tri_lines = np.empty(ntri, dtype=np.int64)
         for k in range(ntri):
             ln, parts = take()
             if len(parts) != 9:
@@ -407,6 +409,7 @@ def load_warpfield(path: str | Path) -> WarpField:
                 tris[k] = [int(v) for v in parts[6:]]
             except ValueError:
                 raise ParseError("malformed triangle line", line=ln) from None
+            tri_lines[k] = ln
         if ntri and (tris.min() < 0 or tris.max() >= nvert):
             raise ParseError(
                 f"triangle vertex index out of range [0, {nvert - 1}]", line=ln
@@ -423,6 +426,16 @@ def load_warpfield(path: str | Path) -> WarpField:
                 raise ParseError("malformed vertex line", line=ln) from None
             src[k] = vals[:2]
             dst[k] = vals[2:]
+        # rendering trusts the stored affines: each must carry its
+        # triangle's src vertices onto their dst vertices
+        hit = (np.einsum("kij,kvj->kvi", affines[:, :, :2], src[tris])
+               + affines[:, None, :, 2])
+        off = np.nonzero(~(np.abs(hit - dst[tris]).max(axis=(1, 2)) <= _AFFINE_TOL))[0]
+        if off.size:
+            raise ParseError(
+                "triangle affine does not map its src vertices onto dst",
+                line=int(tri_lines[off[0]]),
+            )
         frames.append(
             FrameWarp(
                 triangles=tris,

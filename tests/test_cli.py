@@ -11,6 +11,7 @@ from meshstab.frames import load_frame_dir, save_frame_dir, GrayFrame
 from meshstab.trajectory import load_trajectories
 
 from conftest import textured_frames
+from test_warp import nudge_affine
 
 
 def _report_dict(path):
@@ -227,4 +228,19 @@ def test_render_rejects_mismatched_field(tmp_path):
     short = tmp_path / "short"
     save_frame_dir(frames[:3], short)
     assert cli.main(["render", str(short), str(wf),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+def test_render_rejects_tampered_affine(tmp_path):
+    rng = np.random.default_rng(42)
+    frames, _ = textured_frames(rng, width=64, height=48, frame_count=4)
+    indir = tmp_path / "in"
+    save_frame_dir(frames, indir)
+    traj = tmp_path / "t.traj"
+    assert cli.main(["track", str(indir), "--out", str(traj)]) == 0
+    wf = tmp_path / "f.txt"
+    assert cli.main(["stabilize", str(traj), "--out", str(tmp_path / "s.traj"),
+                     "--warpfield", str(wf)]) == 0
+    nudge_affine(wf, frame=1, tri=0)
+    assert cli.main(["render", str(indir), str(wf),
                      "--out", str(tmp_path / "o")]) == 3

@@ -143,8 +143,10 @@ def _run_backend_subprocess(tmp_path, env_value):
         env.pop("MESHSTAB_NUMBA", None)
     else:
         env["MESHSTAB_NUMBA"] = env_value
+    # the child imports conftest and the same meshstab as this process,
+    # which pytest's own pythonpath setting does not pass on
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__))]
+        [os.path.dirname(__file__), os.path.dirname(os.path.dirname(kernels.__file__))]
         + env.get("PYTHONPATH", "").split(os.pathsep))
     proc = subprocess.run(
         [sys.executable, "-c", _SUBPROC_SNIPPET.format(out=out)],

@@ -49,6 +49,66 @@ def naive_frame_objective(mesh, stab_feat, cfg, controls):
     return total
 
 
+def _vertex_term(mesh, stab_feat, v, axis, coef, cols, coefs):
+    """Route one residual term to an unknown column or a fixed value.
+
+    Returns the fixed contribution (0 for control vertices).
+    """
+    nf = mesh.n_features
+    if v >= nf:
+        cols.append(2 * (v - nf) + axis)
+        coefs.append(coef)
+        return 0.0
+    return coef * float(stab_feat[v, axis])
+
+
+def scalar_frame_problem(mesh, stab_feat, cfg):
+    """Per-residual assembly of one frame's (a, b, const), one scalar row at
+    a time: the slow oracle for assemble_stage2_frame."""
+    n = 2 * mesh.control_points.shape[0]
+    a, b, const = np.zeros((n, n)), np.zeros(n), 0.0
+
+    def add(weight, terms):
+        nonlocal const
+        cols, coefs = [], []
+        fixed = sum(_vertex_term(mesh, stab_feat, int(v), ax, cf, cols, coefs)
+                    for v, ax, cf in terms)
+        cols, coefs, target = np.array(cols, dtype=np.int64), np.array(coefs), -fixed
+        a[np.ix_(cols, cols)] += weight * np.outer(coefs, coefs)
+        b[cols] += weight * target * coefs
+        const += weight * target * target
+
+    pts = mesh.points
+    for k in mesh.outer:
+        tri = mesh.triangles[k]
+        for role in range(3):
+            v1, v2, v3 = tri[role], tri[(role + 1) % 3], tri[(role + 2) % 3]
+            e, d = pts[v3] - pts[v2], pts[v1] - pts[v2]
+            l2 = float(e @ e)
+            al = float(d @ e) / l2
+            bb = float(d[0] * e[1] - d[1] * e[0]) / l2
+            add(cfg.gamma, [(v2, 0, 1.0 - al), (v3, 0, al), (v2, 1, -bb),
+                            (v3, 1, bb), (v1, 0, -1.0)])
+            add(cfg.gamma, [(v2, 1, 1.0 - al), (v3, 1, al), (v2, 0, bb),
+                            (v3, 0, -bb), (v1, 1, -1.0)])
+
+    neighbors: dict[int, list] = {}
+    for i, j, e in mesh.adjacency:
+        neighbors.setdefault(i, []).append((j, e))
+        neighbors.setdefault(j, []).append((i, e))
+    for i in sorted(int(x) for x in mesh.outer):
+        for j, (u, v) in neighbors.get(i, []):
+            ti, tj = mesh.triangles[i], mesh.triangles[j]
+            oi = int(ti[(ti != u) & (ti != v)][0])
+            oj = int(tj[(tj != u) & (tj != v)][0])
+            for opp, other in ((oi, tj), (oj, ti)):
+                w = barycentric(pts[opp], pts[other[0]], pts[other[1]], pts[other[2]])
+                for axis in (0, 1):
+                    add(cfg.epsilon, [(vv, axis, cf) for vv, cf in zip(other, w)]
+                        + [(opp, axis, -1.0)])
+    return a, b, const
+
+
 def _scene(rng, n=8, T=5, W=120, H=90):
     return random_set(rng, n_traj=n, frame_count=T, width=W, height=H)
 
@@ -76,6 +136,38 @@ def test_objective_matches_naive_evaluator():
             ref = naive_frame_objective(mesh, stab, cfg, cand)
             got = prob.objective(cand.ravel())
             assert abs(got - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+
+def _sparse_start_set():
+    """Frame 0 has no features, frame 1 one feature, frames 2-5 seven."""
+    rng = np.random.default_rng(98)
+    trajs = [FeatureTrajectory(id=0, start_frame=1,
+                               points=rng.uniform([10, 10], [110, 80], (5, 2)))]
+    trajs += [FeatureTrajectory(id=i, start_frame=2,
+                                points=rng.uniform([10, 10], [110, 80], (4, 2)))
+              for i in range(1, 7)]
+    return TrajectorySet(tuple(trajs), 6, (120, 90))
+
+
+def test_assembly_matches_scalar_oracle():
+    rng = np.random.default_rng(99)
+    cfg = StageOneConfig(gamma=7.0, epsilon=13.0)
+    meshes = build_all_meshes(_sparse_start_set())
+    for _ in range(3):
+        meshes += build_all_meshes(random_set(
+            rng, n_traj=int(rng.integers(3, 9)), frame_count=8, staggered=True))
+    assert meshes[0].n_features == 0 and meshes[1].n_features == 1
+    outer_outer = 0
+    for mesh in meshes:
+        is_outer = np.isin(np.arange(mesh.triangles.shape[0]), mesh.outer)
+        outer_outer += sum(is_outer[i] and is_outer[j] for i, j, _ in mesh.adjacency)
+        stab = mesh.feature_points + rng.normal(0, 1.0, (mesh.n_features, 2))
+        a, b, const = scalar_frame_problem(mesh, stab, cfg)
+        prob = s2.assemble_stage2_frame(mesh, stab, cfg)
+        assert np.linalg.norm(prob.a - a) <= 1e-9 * np.linalg.norm(a)
+        assert np.linalg.norm(prob.b - b) <= 1e-9 * np.linalg.norm(b)
+        assert abs(prob.const - const) <= 1e-9 * abs(const)
+    assert outer_outer > 0
 
 
 def test_similarity_transform_carries_to_controls():
@@ -153,15 +245,25 @@ def test_feature_free_frames_fall_back():
         assert np.array_equal(sol.points[t], meshes[t].control_points)
 
 
-def test_single_feature_frame_falls_back():
+@pytest.mark.parametrize("points, falls_back", [
     # one feature anchors translation but leaves rotation about it free
-    one = TrajectorySet(
-        (FeatureTrajectory(id=0, start_frame=0,
-                           points=np.tile([50.0, 40.0], (3, 1))),),
+    ([[50.0, 40.0]], True),
+    # two features within 1e-6 px merge into one
+    ([[50.0, 40.0], [50.0, 40.0 + 1e-7]], True),
+    ([[50.0, 40.0], [70.0, 45.0]], False),
+    ([[30.0, 20.0], [50.0, 40.0], [70.0, 60.0]], False),
+], ids=["one_feature", "coincident_pair", "distinct_pair", "collinear_triple"])
+def test_single_feature_frame_falls_back(points, falls_back):
+    ts = TrajectorySet(
+        tuple(FeatureTrajectory(id=i, start_frame=0, points=np.tile(p, (3, 1)))
+              for i, p in enumerate(points)),
         3, (120, 90))
-    meshes = build_all_meshes(one)
-    sol = s2.solve_stage2(meshes, one)
-    assert sol.fallback_frames == (0, 1, 2)
+    meshes = build_all_meshes(ts)
+    sol = s2.solve_stage2(meshes, ts)
+    assert sol.fallback_frames == ((0, 1, 2) if falls_back else ())
+    if not falls_back:
+        for t in range(3):
+            assert np.abs(sol.points[t] - meshes[t].control_points).max() <= 1e-6
 
 
 def test_assemble_rejects_shape_mismatch():

@@ -210,6 +210,32 @@ def test_warpfield_rejects_trailing_content(tmp_path):
         wp.load_warpfield(path)
 
 
+def nudge_affine(path, frame, tri):
+    """Shift one stored translation coefficient by 1e-6 px in a saved warp
+    field; returns the 1-based line number of the edited triangle line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    ln = 1
+    for _ in range(frame):
+        ntri, nvert, _ = (int(v) for v in lines[ln].split())
+        ln += 1 + ntri + nvert
+    ln += 2 + tri
+    parts = lines[ln - 1].split()
+    parts[2] = repr(float(parts[2]) + 1e-6)
+    lines[ln - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ln
+
+
+def test_warpfield_rejects_affine_off_its_vertices(tmp_path):
+    rng = np.random.default_rng(11)
+    _, field = _deformed_field(rng)
+    path = tmp_path / "wf.txt"
+    wp.save_warpfield(field, path)
+    ln = nudge_affine(path, frame=2, tri=3)
+    with pytest.raises(ParseError, match=f"line {ln}: triangle affine"):
+        wp.load_warpfield(path)
+
+
 def test_apply_crop_bounds():
     img = GrayFrame.from_array(np.zeros((H, W)))
     got = wp.apply_crop(img, (4, 2, 10, 8))
