@@ -1,11 +1,11 @@
 """Per-frame triangle meshes over feature points and fixed border points.
 
-Each frame gets a Delaunay triangulation of its live feature points plus a
-ring of evenly spaced control points on the frame border, built with an
-incremental insertion scheme (super-rectangle, cavity retriangulation) and
-cleaned up by local edge flips.  The border segments between consecutive
-border vertices are verified present, so the mesh always tiles the frame
-rectangle exactly.
+Each frame gets the Delaunay triangulation of its live feature points plus
+a ring of evenly spaced control points on the frame border, computed by
+Qhull (`scipy.spatial.Delaunay`).  The control points lie on the convex
+hull, so every border segment between consecutive border vertices is a hull
+edge; `triangulate` checks that it is present, so the mesh always tiles the
+frame rectangle exactly.
 
 Triangles whose three vertices are all feature points are "inner"; the rest
 ("outer") touch at least one control point.  The two coordinate helpers at
@@ -19,11 +19,11 @@ be built concurrently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import Delaunay
 
 from .errors import DegenerateGeometryError
 from .trajectory import TrajectorySet, frame_feature_set
@@ -43,7 +43,6 @@ __all__ = [
 
 AREA_EPS = 1e-9          # triangles at or below this area are degenerate
 DEDUP_EPS = 1e-6         # vertices closer than this merge
-_INCIRCLE_EPS = 1e-12    # normalized-coordinate predicate cutoff
 
 
 # --- control points ---
@@ -71,206 +70,12 @@ def make_control_points(width: int, height: int, per_edge: int = 10) -> np.ndarr
     return np.array(ring, dtype=np.float64)
 
 
-# --- geometric predicates ---
+# --- triangulation ---
 
 
 def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
     """Twice the signed area of triangle (p, q, r); positive = CCW."""
     return (q[0] - p[0]) * (r[1] - p[1]) - (r[0] - p[0]) * (q[1] - p[1])
-
-
-def _incircle(P: np.ndarray, tri: tuple[int, int, int], p: np.ndarray) -> float:
-    """Positive when p lies strictly inside the circumcircle of CCW tri."""
-    a, b, c = P[tri[0]], P[tri[1]], P[tri[2]]
-    adx, ady = a[0] - p[0], a[1] - p[1]
-    bdx, bdy = b[0] - p[0], b[1] - p[1]
-    cdx, cdy = c[0] - p[0], c[1] - p[1]
-    a2 = adx * adx + ady * ady
-    b2 = bdx * bdx + bdy * bdy
-    c2 = cdx * cdx + cdy * cdy
-    return (adx * (bdy * c2 - b2 * cdy)
-            - ady * (bdx * c2 - b2 * cdx)
-            + a2 * (bdx * cdy - bdy * cdx))
-
-
-# --- incremental triangulation ---
-
-
-class _Triangulator:
-    """Bowyer-Watson insertion into a super-rectangle, then Delaunay flips."""
-
-    def __init__(self, pts: np.ndarray):
-        self.n = pts.shape[0]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-        self.norm = (pts - lo) / span  # real points in [0, 1]^2
-        m = 10.0
-        sup = np.array([[-m, -m], [1 + m, -m], [1 + m, 1 + m], [-m, 1 + m]])
-        self.P = np.vstack([self.norm, sup])
-        s = self.n
-        self.tris: list[list[int]] = [[s, s + 1, s + 2], [s, s + 2, s + 3]]
-        self.alive: list[bool] = [True, True]
-
-    def insert_all(self) -> None:
-        for p in range(self.n):
-            self._insert(p)
-
-    def _insert(self, p: int) -> None:
-        px, py = self.P[p]
-        live = [i for i, a in enumerate(self.alive) if a]
-        idx = np.array([self.tris[i] for i in live])
-        A = self.P[idx[:, 0]]
-        B = self.P[idx[:, 1]]
-        C = self.P[idx[:, 2]]
-        adx, ady = A[:, 0] - px, A[:, 1] - py
-        bdx, bdy = B[:, 0] - px, B[:, 1] - py
-        cdx, cdy = C[:, 0] - px, C[:, 1] - py
-        a2 = adx * adx + ady * ady
-        b2 = bdx * bdx + bdy * bdy
-        c2 = cdx * cdx + cdy * cdy
-        det = (adx * (bdy * c2 - b2 * cdy)
-               - ady * (bdx * c2 - b2 * cdx)
-               + a2 * (bdx * cdy - bdy * cdx))
-        bad = [live[k] for k in np.nonzero(det > _INCIRCLE_EPS)[0]]
-        if not bad:
-            raise DegenerateGeometryError(
-                f"insertion point {p} found no containing circumcircle"
-            )
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            a, b, c = self.tris[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-        for t in bad:
-            self.alive[t] = False
-            a, b, c = self.tris[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                if edge_count[key] == 1:
-                    self.tris.append([u, v, p])
-                    self.alive.append(True)
-
-    def real_triangles(self) -> list[list[int]]:
-        out = []
-        for t, a in zip(self.tris, self.alive):
-            if a and max(t) < self.n:
-                out.append(list(t))
-        return out
-
-
-def _third_vertex(tri: list[int], u: int, v: int) -> int:
-    for w in tri:
-        if w != u and w != v:
-            return w
-    raise ValueError(f"edge ({u}, {v}) not in triangle {tri}")
-
-
-def _edge_map(tris: list[list[int]]) -> dict[tuple[int, int], list[int]]:
-    em: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            em.setdefault(key, []).append(i)
-    return em
-
-
-def _flip(P: np.ndarray, tris: list[list[int]], em: dict, key: tuple[int, int]) -> tuple[int, int] | None:
-    """Replace the two triangles on edge `key` by the opposite diagonal.
-
-    Returns the new diagonal, or None when the flip is not applicable
-    (boundary edge or non-convex quad).
-    """
-    owners = em.get(key)
-    if owners is None or len(owners) != 2:
-        return None
-    t1, t2 = owners
-    u, v = key
-    c = _third_vertex(tris[t1], u, v)
-    d = _third_vertex(tris[t2], u, v)
-    # the quad u, c, v, d must be strictly convex for the diagonal swap
-    if _orient(P[c], P[d], P[u]) * _orient(P[c], P[d], P[v]) >= 0:
-        return None
-    new1 = [u, c, d]
-    new2 = [v, c, d]
-    if _orient(P[new1[0]], P[new1[1]], P[new1[2]]) < 0:
-        new1[1], new1[2] = new1[2], new1[1]
-    if _orient(P[new2[0]], P[new2[1]], P[new2[2]]) < 0:
-        new2[1], new2[2] = new2[2], new2[1]
-    for t in (t1, t2):
-        a, b, cc = tris[t]
-        for e0, e1 in ((a, b), (b, cc), (cc, a)):
-            k = (e0, e1) if e0 < e1 else (e1, e0)
-            em[k].remove(t)
-            if not em[k]:
-                del em[k]
-    tris[t1] = new1
-    tris[t2] = new2
-    for t in (t1, t2):
-        a, b, cc = tris[t]
-        for e0, e1 in ((a, b), (b, cc), (cc, a)):
-            k = (e0, e1) if e0 < e1 else (e1, e0)
-            em.setdefault(k, []).append(t)
-    return (c, d) if c < d else (d, c)
-
-
-def _lawson_pass(P: np.ndarray, tris: list[list[int]]) -> None:
-    """Flip interior edges until every adjacent pair is locally Delaunay."""
-    em = _edge_map(tris)
-    queue = deque(sorted(em.keys()))
-    guard = 0
-    cap = 20 * (len(tris) ** 2 + 100)
-    while queue:
-        guard += 1
-        if guard > cap:
-            raise DegenerateGeometryError("edge flip pass did not terminate")
-        key = queue.popleft()
-        owners = em.get(key)
-        if owners is None or len(owners) != 2:
-            continue
-        t1, t2 = owners
-        d = _third_vertex(tris[t2], *key)
-        if _incircle(P, tuple(tris[t1]), P[d]) <= _INCIRCLE_EPS:
-            continue
-        new_diag = _flip(P, tris, em, key)
-        if new_diag is None:
-            continue
-        u, v = key
-        c, dd = new_diag
-        for a, b in ((u, c), (c, v), (v, dd), (dd, u)):
-            queue.append((a, b) if a < b else (b, a))
-
-
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """True when open segments p1p2 and q1q2 properly intersect."""
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-
-def _recover_segment(P: np.ndarray, tris: list[list[int]], u: int, v: int) -> None:
-    """Force the edge (u, v) into the triangulation by flipping crossers."""
-    for _ in range(4 * len(tris) + 16):
-        em = _edge_map(tris)
-        key = (u, v) if u < v else (v, u)
-        if key in em:
-            return
-        flipped = False
-        for (a, b) in sorted(em.keys()):
-            if a in (u, v) or b in (u, v):
-                continue
-            if _segments_cross(P[a], P[b], P[u], P[v]):
-                if _flip(P, tris, em, (a, b)) is not None:
-                    flipped = True
-                    break
-        if not flipped:
-            raise DegenerateGeometryError(
-                f"could not recover constrained edge ({u}, {v})"
-            )
-    raise DegenerateGeometryError(f"edge recovery for ({u}, {v}) did not terminate")
 
 
 @dataclass(frozen=True)
@@ -282,27 +87,28 @@ class Triangulation:
     adjacency: tuple[tuple[int, int, tuple[int, int]], ...]
 
 
-def _canonicalize(tris: list[list[int]]) -> np.ndarray:
+def _canonicalize(tris: np.ndarray) -> np.ndarray:
     arr = np.sort(np.asarray(tris, dtype=np.int64), axis=1)
     order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))
     return arr[order]
 
 
 def _adjacency(tris: np.ndarray) -> tuple[tuple[int, int, tuple[int, int]], ...]:
-    em: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (a, c)):
-            key = (min(u, v), max(u, v))
-            em.setdefault(key, []).append(i)
-    pairs = []
-    for key, owners in em.items():
-        if len(owners) == 2:
-            i, j = sorted(owners)
-            pairs.append((i, j, key))
-        elif len(owners) > 2:
-            raise DegenerateGeometryError(f"edge {key} bounds {len(owners)} triangles")
-    pairs.sort()
-    return tuple((int(i), int(j), (int(u), int(v))) for i, j, (u, v) in pairs)
+    """Pairs (i, j, (u, v)), i < j, of canonical triangles sharing edge u < v."""
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]])
+    owners = np.tile(np.arange(tris.shape[0]), 3)
+    order = np.lexsort((owners, edges[:, 1], edges[:, 0]))
+    edges, owners = edges[order], owners[order]
+    shared = np.all(edges[1:] == edges[:-1], axis=1)
+    if np.any(shared[1:] & shared[:-1]):
+        key = edges[int(np.argmax(shared[1:] & shared[:-1]))]
+        count = int(np.all(edges == key, axis=1).sum())
+        raise DegenerateGeometryError(
+            f"edge {(int(key[0]), int(key[1]))} bounds {count} triangles"
+        )
+    pairs = np.column_stack([owners[:-1][shared], owners[1:][shared], edges[:-1][shared]])
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    return tuple((i, j, (u, v)) for i, j, u, v in pairs.tolist())
 
 
 def _border_chains(pts: np.ndarray, rect: tuple[float, float, float, float],
@@ -326,13 +132,16 @@ def triangulate(
     points: np.ndarray,
     border: tuple[float, float, float, float] | None = None,
 ) -> Triangulation:
-    """Delaunay-triangulate a point set, optionally pinned to a border rect.
+    """Delaunay-triangulate a point set with Qhull, optionally pinned to a border rect.
 
     `points` must be pairwise distinct (beyond 1e-6 px) and not all
     collinear.  With `border` = (x0, y0, x1, y1), all points must lie inside
-    the rectangle, the four corners must be among the points, and every
-    border segment between consecutive border points is guaranteed to be a
-    mesh edge on return.
+    the rectangle and the four corners must be among the points, so the
+    border points lie on the convex hull; every border segment between
+    consecutive border points is checked to be a mesh edge.  Raises
+    DegenerateGeometryError when an input check fails, when Qhull leaves a
+    point out, when a triangle has area <= AREA_EPS or when a border segment
+    is missing.  Cocircular ties are broken as Qhull breaks them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -365,25 +174,35 @@ def triangulate(
                     f"border corner {tuple(c)} is not among the points"
                 )
 
-    tr = _Triangulator(pts)
-    tr.insert_all()
-    tris = tr.real_triangles()
-    if not tris:
-        raise DegenerateGeometryError("triangulation produced no triangles")
-    P = tr.norm
-    _lawson_pass(P, tris)
+    span = float(max(np.ptp(pts, axis=0).max(), 1e-9))
+    dt = Delaunay((pts - pts.min(axis=0)) / span)  # Qhull on the unit box
+    if dt.coplanar.size:
+        raise DegenerateGeometryError(
+            f"point {int(dt.coplanar[0, 0])} was left out of the triangulation"
+        )
+    tris = _canonicalize(dt.simplices)
+    area = 0.5 * np.abs(_orient(*pts[tris].transpose(1, 2, 0)))
+    if np.any(area <= AREA_EPS):
+        k = int(np.argmin(area))
+        raise DegenerateGeometryError(
+            f"triangle {tuple(int(v) for v in tris[k])} has area {area[k]:.3g}"
+        )
 
     if border is not None:
-        em = _edge_map(tris)
-        for chain in _border_chains(pts, border):
-            for u, v in zip(chain, chain[1:]):
-                key = (u, v) if u < v else (v, u)
-                if key not in em:
-                    _recover_segment(P, tris, u, v)
-                    em = _edge_map(tris)
+        n = pts.shape[0]
+        seg = np.sort(np.concatenate([
+            np.column_stack([chain[:-1], chain[1:]])
+            for chain in _border_chains(pts, border)
+        ]), axis=1)
+        missing = ~np.isin(seg[:, 0] * n + seg[:, 1],
+                           tris[:, [0, 1, 0]] * n + tris[:, [1, 2, 2]])
+        if missing.any():
+            u, v = seg[int(np.argmax(missing))]
+            raise DegenerateGeometryError(
+                f"border segment ({int(u)}, {int(v)}) is not a mesh edge"
+            )
 
-    arr = _canonicalize(tris)
-    return Triangulation(triangles=arr, adjacency=_adjacency(arr))
+    return Triangulation(triangles=tris, adjacency=_adjacency(tris))
 
 
 # --- frame meshes ---
@@ -446,19 +265,16 @@ def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh
     controls = make_control_points(w, h, per_edge)
     feats = frame_feature_set(ts, t)
 
-    kept_ids: list[int] = []
-    kept_pts: list[np.ndarray] = []
-    merged: list[int] = []
-    for fid, p in feats:  # ascending id, so the lowest id survives a merge
-        clash = any(np.hypot(*(p - q)) < DEDUP_EPS for q in kept_pts)
-        clash = clash or bool(np.min(np.sum((controls - p) ** 2, axis=1)) < DEDUP_EPS**2)
-        if clash:
-            merged.append(fid)
-        else:
-            kept_ids.append(fid)
-            kept_pts.append(np.asarray(p, dtype=np.float64))
-
-    feat_arr = np.array(kept_pts) if kept_pts else np.zeros((0, 2))
+    ids = np.array([fid for fid, _ in feats], dtype=np.int64)
+    fpts = np.array([p for _, p in feats], dtype=np.float64).reshape(-1, 2)
+    d2_control = np.sum((fpts[:, None, :] - controls[None, :, :]) ** 2, axis=2)
+    keep = ~np.any(d2_control < DEDUP_EPS**2, axis=1)
+    # close[i, j]: feature j comes before i and lies within DEDUP_EPS of it
+    close = np.tril(np.hypot(fpts[:, None, 0] - fpts[None, :, 0],
+                             fpts[:, None, 1] - fpts[None, :, 1]) < DEDUP_EPS, k=-1)
+    for i in np.nonzero(close.any(axis=1))[0]:  # ascending id: lowest id survives
+        keep[i] = keep[i] and not np.any(close[i] & keep)
+    feat_arr = fpts[keep]
     pts = np.vstack([feat_arr, controls])
     tri = triangulate(pts, border=(0.0, 0.0, w - 1.0, h - 1.0))
 
@@ -469,14 +285,14 @@ def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh
     return FrameMesh(
         frame=t,
         frame_size=(w, h),
-        feature_ids=np.array(kept_ids, dtype=np.int64),
+        feature_ids=ids[keep],
         feature_points=feat_arr,
         control_points=controls,
         triangles=tri.triangles,
         inner=inner,
         outer=outer,
         adjacency=tri.adjacency,
-        merged_feature_ids=tuple(merged),
+        merged_feature_ids=tuple(ids[~keep].tolist()),
     )
 
 

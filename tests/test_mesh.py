@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from meshstab.errors import DegenerateGeometryError
 from meshstab.mesh import (
+    AREA_EPS,
+    _adjacency,
     barycentric,
     build_frame_mesh,
     dump_mesh,
@@ -88,10 +93,52 @@ def test_triangulate_delaunay_property():
         tri = triangulate(pts)
         assert circumcircle_violations(pts, tri.triangles) == 0
         # hull area equals the sum of triangle areas
-        from scipy.spatial import ConvexHull
         hull = ConvexHull(pts)
         total = sum(tri_area(pts, t) for t in tri.triangles)
         assert abs(total - hull.volume) < 1e-6 * hull.volume
+
+
+@pytest.mark.parametrize("pts, error", [
+    # passes the collinearity check, but its one triangle has area ~1.5e-12
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 3e-12]], "area"),
+    # area 5e-7, above AREA_EPS: a proper triangle
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6]], None),
+    # two points 1e-4 px apart in a 1e10 px frame: Qhull leaves one out
+    ([[0.0, 0.0], [1e10, 0.0], [0.0, 1e10], [1e10, 1e10], [3e9, 3e9],
+      [3e9 + 1e-4, 3e9]], "left out"),
+], ids=["flat_triangle", "thin_triangle", "point_left_out"])
+def test_triangulate_never_returns_degenerate_output(pts, error):
+    pts = np.array(pts)
+    if error is None:
+        assert triangulate(pts).triangles.shape == (1, 3)
+    else:
+        with pytest.raises(DegenerateGeometryError, match=error):
+            triangulate(pts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                   unique=True, max_size=14),
+    duplicate=st.booleans(),
+    bordered=st.booleans(),
+)
+def test_triangulate_property_on_integer_grid(cells, duplicate, bordered):
+    # a 7x7 grid makes collinear sets and cocircular ties common
+    if bordered:
+        cells += [c for c in [(0, 0), (6, 0), (6, 6), (0, 6)] if c not in cells]
+    if duplicate and cells:
+        cells.append(cells[len(cells) // 2])
+    pts = np.array(cells, dtype=np.float64).reshape(-1, 2)
+    try:
+        tri = triangulate(pts, border=(0.0, 0.0, 6.0, 6.0) if bordered else None)
+    except DegenerateGeometryError:
+        return
+    areas = np.array([tri_area(pts, t) for t in tri.triangles])
+    assert np.all(areas > AREA_EPS)
+    hull = ConvexHull(pts).volume
+    assert abs(areas.sum() - hull) <= 1e-9 * hull
+    assert circumcircle_violations(pts, tri.triangles) == 0
 
 
 def test_adjacency_matches_shared_vertex_count():
@@ -104,9 +151,13 @@ def test_adjacency_matches_shared_vertex_count():
         for j in range(i + 1, len(tris)):
             shared = len(set(tris[i]) & set(tris[j]))
             assert ((i, j) in pairs) == (shared == 2)
+    assert list(tri.adjacency) == sorted(tri.adjacency)
     for i, j, (u, v) in tri.adjacency:
         assert u < v
         assert {u, v} <= set(tris[i]) and {u, v} <= set(tris[j])
+    # an edge bounding three triangles is not a triangulation
+    with pytest.raises(DegenerateGeometryError, match="bounds 3 triangles"):
+        _adjacency(np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 3, 5]]))
 
 
 def test_frame_mesh_single_feature_all_outer():
@@ -150,24 +201,50 @@ def test_frame_mesh_classification_and_tiling():
         assert len(set(mesh.inner) & set(mesh.outer)) == 0
 
 
-def test_frame_mesh_duplicate_features_merge_to_lowest_id():
-    p = np.array([40.0, 30.0])
-    trajs = (
-        FeatureTrajectory(id=2, start_frame=0, points=np.tile(p, (4, 1))),
-        FeatureTrajectory(id=5, start_frame=0, points=np.tile(p + 1e-8, (4, 1))),
-        FeatureTrajectory(id=7, start_frame=0, points=np.tile([20.0, 20.0], (4, 1))),
-    )
+@pytest.mark.parametrize("points, kept, merged", [
+    # id 5 sits on id 2
+    ({2: [40.0, 30.0], 5: [40.0 + 1e-8, 30.0 + 1e-8], 7: [20.0, 20.0]},
+     [2, 7], (5,)),
+    # chain: 3-4 and 4-6 are within 1e-6 px, 3-6 is not; 4 merges into 3,
+    # and 6 is compared only against kept features, so it stays
+    ({3: [40.0, 30.0], 4: [40.0 + 0.8e-6, 30.0], 6: [40.0 + 1.6e-6, 30.0],
+      9: [20.0, 20.0]},
+     [3, 6, 9], (4,)),
+    # id 1 lands on the control point at the top-left corner
+    ({1: [1e-8, 0.0], 2: [40.0, 30.0], 8: [20.0, 20.0]}, [2, 8], (1,)),
+], ids=["pair", "chain", "on_control"])
+def test_frame_mesh_duplicate_features_merge_to_lowest_id(points, kept, merged):
+    trajs = tuple(FeatureTrajectory(id=i, start_frame=0, points=np.tile(p, (4, 1)))
+                  for i, p in points.items())
     mesh = build_frame_mesh(TrajectorySet(trajs, 4, (64, 48)), 0)
-    assert mesh.feature_ids.tolist() == [2, 7]
-    assert mesh.merged_feature_ids == (5,)
+    assert mesh.feature_ids.tolist() == kept
+    assert mesh.merged_feature_ids == merged
+    assert np.array_equal(mesh.feature_points,
+                          np.array([points[i] for i in kept]))
 
 
-def test_frame_mesh_no_features_is_control_only():
-    ts = TrajectorySet((), 3, (64, 48))
-    mesh = build_frame_mesh(ts, 1)
+@pytest.mark.parametrize("width, height, per_edge", [
+    (64, 48, 10), (320, 240, 10), (91, 91, 10), (100, 100, 4),
+    (160, 120, 5), (2, 2, 2), (3, 3, 3), (200, 20, 12),
+])
+def test_frame_mesh_no_features_is_control_only(width, height, per_edge):
+    # the control ring is full of cocircular ties; any tie-break must still
+    # give a Delaunay triangulation of C - 2 proper triangles over the frame
+    ts = TrajectorySet((), 3, (width, height))
+    mesh = build_frame_mesh(ts, 1, per_edge)
+    c = mesh.control_points.shape[0]
     assert mesh.n_features == 0
     assert len(mesh.inner) == 0
-    assert len(mesh.triangles) > 0
+    assert mesh.triangles.shape == (c - 2, 3)
+    areas = np.array([tri_area(mesh.points, t) for t in mesh.triangles])
+    assert np.all(areas > AREA_EPS)
+    expect = (width - 1.0) * (height - 1.0)
+    assert abs(areas.sum() - expect) <= 1e-9 * expect
+    edges = {tuple(sorted((int(u), int(v))))
+             for t in mesh.triangles for u, v in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
+    for k in range(c):
+        assert tuple(sorted((k, (k + 1) % c))) in edges
+    assert circumcircle_violations(mesh.points, mesh.triangles) == 0
 
 
 def test_mesh_determinism():
