@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ParseError, SolverError
+from .errors import DegenerateGeometryError, ParseError, SolverError, read_text
 from .frames import GrayFrame, load_frame_dir, load_y4m, save_frame_dir
 from .mesh import build_all_meshes
 from .metrics import jitter_energy, stability_score, video_ssim
@@ -182,7 +182,7 @@ def load_config(path: str | Path) -> dict[str, object]:
     values raise ParseError with the offending line number.
     """
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -446,8 +446,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _manifest_value(path: str, key: str) -> float:
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                             start=1):
+    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
         if raw.startswith(key + "="):
             try:
                 return float(raw.split("=", 1)[1])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class MeshstabError(Exception):
     """Base class for errors raised by this package."""
@@ -18,6 +20,17 @@ class ParseError(MeshstabError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 text input; bytes that do not decode raise ParseError at their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())  # counted as the parsers split lines
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
 
 class DegenerateGeometryError(MeshstabError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import DegenerateGeometryError
 from .trajectory import TrajectorySet, frame_feature_set
@@ -150,10 +150,11 @@ def triangulate(
         raise ValueError("points contain non-finite coordinates")
     if pts.shape[0] < 3:
         raise DegenerateGeometryError(f"need >= 3 points, got {pts.shape[0]}")
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    if d2.min() < DEDUP_EPS**2:
-        i, j = np.unravel_index(int(d2.argmin()), d2.shape)
+    # the tree's radius test is not the strict one below, so it gets slack
+    pairs = cKDTree(pts).query_pairs(2.0 * DEDUP_EPS, output_type="ndarray")
+    d2 = np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1)
+    if pairs.size and d2.min() < DEDUP_EPS**2:
+        i, j = pairs[int(d2.argmin())]
         raise DegenerateGeometryError(
             f"points {i} and {j} coincide within {DEDUP_EPS} px; merge them first"
         )

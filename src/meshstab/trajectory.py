@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 __all__ = [
     "FeatureTrajectory",
@@ -177,7 +177,7 @@ def save_trajectories(ts: TrajectorySet, path: str | Path) -> None:
 
 
 def load_trajectories(path: str | Path) -> TrajectorySet:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty trajectory file", line=1)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateGeometryError, ParseError
+from .errors import DegenerateGeometryError, ParseError, read_text
 from .frames import GrayFrame
 from .mesh import AREA_EPS, FrameMesh
 from .stage2 import StabilizedControlPoints
@@ -357,7 +357,7 @@ def save_warpfield(field: WarpField, path: str | Path) -> None:
 
 
 def load_warpfield(path: str | Path) -> WarpField:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = text.splitlines()
     pos = 0
 
@@ -377,6 +377,10 @@ def load_warpfield(path: str | Path) -> WarpField:
         count, w, h = (int(v) for v in head)
     except ValueError:
         raise ParseError("non-integer header field", line=ln) from None
+    if count < 0:
+        raise ParseError(f"negative frame count {count}", line=ln)
+    if w < 2 or h < 2:
+        raise ParseError(f"frame size must be at least 2x2, got {w}x{h}", line=ln)
     n_controls = None
     frames = []
     for _ in range(count):
@@ -389,6 +393,8 @@ def load_warpfield(path: str | Path) -> WarpField:
             ntri, nvert, nc = (int(v) for v in head)
         except ValueError:
             raise ParseError("non-integer frame header field", line=ln) from None
+        if min(ntri, nvert, nc) < 0:
+            raise ParseError("negative count in frame header", line=ln)
         if n_controls is None:
             n_controls = nc
         elif nc != n_controls:
@@ -397,35 +403,37 @@ def load_warpfield(path: str | Path) -> WarpField:
             )
         if nvert < nc:
             raise ParseError(f"fewer vertices ({nvert}) than controls ({nc})", line=ln)
-        affines = np.empty((ntri, 2, 3))
-        tris = np.empty((ntri, 3), dtype=np.int64)
-        tri_lines = np.empty(ntri, dtype=np.int64)
-        for k in range(ntri):
+        # rows are collected first: the counts come from the file, so no
+        # array is sized by them before the lines are there
+        coefs, corners, tri_lines = [], [], []
+        for _ in range(ntri):
             ln, parts = take()
             if len(parts) != 9:
                 raise ParseError("triangle line needs 6 coefficients + 3 indices", line=ln)
             try:
-                affines[k] = np.array([float(v) for v in parts[:6]]).reshape(2, 3)
-                tris[k] = [int(v) for v in parts[6:]]
+                coefs.append([float(v) for v in parts[:6]])
+                corners.append([int(v) for v in parts[6:]])
             except ValueError:
                 raise ParseError("malformed triangle line", line=ln) from None
-            tri_lines[k] = ln
-        if ntri and (tris.min() < 0 or tris.max() >= nvert):
-            raise ParseError(
-                f"triangle vertex index out of range [0, {nvert - 1}]", line=ln
-            )
-        src = np.empty((nvert, 2))
-        dst = np.empty((nvert, 2))
-        for k in range(nvert):
+            if not all(0 <= v < nvert for v in corners[-1]):
+                raise ParseError(
+                    f"triangle vertex index out of range [0, {nvert - 1}]", line=ln
+                )
+            tri_lines.append(ln)
+        affines = np.array(coefs, dtype=np.float64).reshape(ntri, 2, 3)
+        tris = np.array(corners, dtype=np.int64).reshape(ntri, 3)
+        verts = []
+        for _ in range(nvert):
             ln, parts = take()
             if len(parts) != 4:
                 raise ParseError("vertex line needs 'ox oy sx sy'", line=ln)
             try:
-                vals = [float(v) for v in parts]
+                verts.append([float(v) for v in parts])
             except ValueError:
                 raise ParseError("malformed vertex line", line=ln) from None
-            src[k] = vals[:2]
-            dst[k] = vals[2:]
+        verts = np.array(verts, dtype=np.float64).reshape(nvert, 4)
+        src = np.ascontiguousarray(verts[:, :2])
+        dst = np.ascontiguousarray(verts[:, 2:])
         # rendering trusts the stored affines: each must carry its
         # triangle's src vertices onto their dst vertices
         hit = (np.einsum("kij,kvj->kvi", affines[:, :, :2], src[tris])
@@ -434,7 +442,7 @@ def load_warpfield(path: str | Path) -> WarpField:
         if off.size:
             raise ParseError(
                 "triangle affine does not map its src vertices onto dst",
-                line=int(tri_lines[off[0]]),
+                line=tri_lines[off[0]],
             )
         frames.append(
             FrameWarp(

@@ -116,6 +116,17 @@ def test_triangulate_never_returns_degenerate_output(pts, error):
             triangulate(pts)
 
 
+@pytest.mark.parametrize("gap, coincide", [(0.9e-6, True), (1.1e-6, False)])
+def test_triangulate_coincidence_threshold(gap, coincide):
+    pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0],
+                    [5.0, 5.0], [5.0 + gap, 5.0]])
+    if coincide:
+        with pytest.raises(DegenerateGeometryError, match="points 4 and 5 coincide"):
+            triangulate(pts)
+    else:
+        assert triangulate(pts).triangles.shape == (6, 3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     cells=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),

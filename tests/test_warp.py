@@ -191,6 +191,13 @@ def test_flipped_triangles_are_flagged():
         ("1 64 48\n", "end of file"),
         ("1 64 48\n1 3 0\n1 0 0 0 1 0 0 1\n", "coefficients"),
         ("1 64 48\n1 3 0\n1 0 0 0 1 0 0 1 5\n", "out of range"),
+        ("-2 320 240\n", "line 1: negative frame count"),
+        ("1 -5 0\n", "line 1: frame size"),
+        ("1 1 48\n", "line 1: frame size"),
+        ("1 64 48\n-1 0 0\n", "line 2: negative count"),
+        ("1 64 48\n0 0 -1\n", "line 2: negative count"),
+        ("1 64 48\n1000000000000 3 0\n", "end of file"),
+        ("1 64 48\n1 3 0\n1 0 0 0 1 0 0 1 99999999999999999999\n", "line 3: .* out of range"),
     ],
 )
 def test_warpfield_parse_errors(tmp_path, text, frag):
