@@ -75,10 +75,16 @@ def _bilinear_np(img, xs, ys):
     y0 = np.floor(ys).astype(np.intp)
     fx = xs - x0
     fy = ys - y0
-    return (img[y0, x0] * (1.0 - fx) * (1.0 - fy)
-            + img[y0, x0 + 1] * fx * (1.0 - fy)
-            + img[y0 + 1, x0] * (1.0 - fx) * fy
-            + img[y0 + 1, x0 + 1] * fx * fy)
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    # flat-index gathers; the products keep the association order of
+    # v * wx * wy, so the result is bit-identical to 2-D indexing
+    flat = img.ravel()
+    i = y0 * img.shape[1] + x0
+    return (flat.take(i) * gx * gy
+            + flat.take(i + 1) * fx * gy
+            + flat.take(i + img.shape[1]) * gx * fy
+            + flat.take(i + img.shape[1] + 1) * fx * fy)
 
 
 def _rowdot(a, b):

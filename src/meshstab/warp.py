@@ -117,8 +117,7 @@ class WarpField:
 
     The last n_controls vertices of every frame are the border control
     ring, in ring order; their stabilized positions trace the forward
-    image of the frame boundary, which is what the crop search tests
-    against.
+    image of the frame boundary, which bounds the common crop.
     """
 
     frame_size: tuple[int, int]
@@ -222,102 +221,66 @@ def render_all(
 
 
 def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Ray-casting containment for each point; boundary points undefined.
+    """Ray-casting containment of (P, 2) points in (..., N, 2) polygons.
 
-    Callers shrink the tested rectangle inward by a small epsilon, so the
-    boundary ambiguity never matters.
+    Returns (..., P) booleans; boundary points are undefined.  Callers
+    shrink the tested rectangle inward by a small epsilon, so the boundary
+    ambiguity never matters.
     """
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    x1 = poly[:, 0][None, :]
-    y1 = poly[:, 1][None, :]
-    x2 = np.roll(poly[:, 0], -1)[None, :]
-    y2 = np.roll(poly[:, 1], -1)[None, :]
+    x = pts[:, 0, None]
+    y = pts[:, 1, None]
+    x1 = poly[..., None, :, 0]
+    y1 = poly[..., None, :, 1]
+    x2 = np.roll(x1, -1, axis=-1)
+    y2 = np.roll(y1, -1, axis=-1)
     straddle = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xc = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
     hits = straddle & (x < xc)
-    return (hits.sum(axis=1) % 2).astype(bool)
-
-
-def _orient2(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _segments_cross_properly(p, q, r, s) -> bool:
-    o1 = _orient2(*p, *q, *r)
-    o2 = _orient2(*p, *q, *s)
-    o3 = _orient2(*r, *s, *p)
-    o4 = _orient2(*r, *s, *q)
-    return (o1 * o2 < 0.0) and (o3 * o4 < 0.0)
-
-
-def _rect_inside_polygon(rect: tuple[float, float, float, float], poly: np.ndarray) -> bool:
-    x0, y0, x1, y1 = rect
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    if not _points_in_polygon(corners, poly).all():
-        return False
-    edges = [
-        ((x0, y0), (x1, y0)),
-        ((x1, y0), (x1, y1)),
-        ((x1, y1), (x0, y1)),
-        ((x0, y1), (x0, y0)),
-    ]
-    n = poly.shape[0]
-    for k in range(n):
-        r = tuple(poly[k])
-        s = tuple(poly[(k + 1) % n])
-        for p, q in edges:
-            if _segments_cross_properly(p, q, r, s):
-                return False
-    return True
+    return (hits.sum(axis=-1) % 2).astype(bool)
 
 
 def common_crop(field: WarpField) -> tuple[int, int, int, int]:
     """Largest centered same-aspect rectangle valid in every frame.
 
-    Binary search on the scale of a rectangle centered on the frame,
-    tested (shrunk by a tiny epsilon) against each frame's stabilized
-    border polygon.  Returns (x0, y0, width, height) in pixels; if even
-    the center point is exposed somewhere, returns the full frame with a
-    warning.
+    In u = (x - cx)/a, v = (y - cy)/b with (a, b) = ((w-1)/2, (h-1)/2), the
+    rectangle of scale s shrunk by _CROP_EPS px a side is |u| + ea <= s,
+    |v| + eb <= s, with (ea, eb) = _CROP_EPS/(a, b).  Once the center is
+    inside every stabilized border ring, the largest such s is the least
+    max(|u| + ea, |v| + eb) over all ring edges.  That is convex and
+    piecewise linear along an edge, so its minimum lies at a vertex or
+    where u +- v = +-(eb - ea).  s is rounded down to the
+    2^-CROP_SEARCH_ITERS grid, where the rectangle is the one a bisection
+    of the same test finds (the tests keep it as the reference); the pixel
+    rounding resolves about 1e-8 px, so an unrounded s could move an edge.
+
+    Returns (x0, y0, width, height); if even the center point is exposed
+    somewhere, returns the full frame with a warning.
     """
     w, h = field.frame_size
     full = (0, 0, w, h)
     if not field.frames:
         return full
-    polys = [fw.dst[-field.n_controls:] for fw in field.frames]
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-
-    def fits(scale: float) -> bool:
-        hw = scale * (w - 1) / 2.0
-        hh = scale * (h - 1) / 2.0
-        rect = (
-            cx - hw + _CROP_EPS,
-            cy - hh + _CROP_EPS,
-            cx + hw - _CROP_EPS,
-            cy + hh - _CROP_EPS,
-        )
-        return all(_rect_inside_polygon(rect, p) for p in polys)
-
-    if not fits(0.0):
+    half = np.array([(w - 1) / 2.0, (h - 1) / 2.0])  # the center, and (a, b)
+    rings = np.array([fw.dst[-field.n_controls:] for fw in field.frames])
+    center = half + _CROP_EPS * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    if not _points_in_polygon(center, rings).all():
         log.warning("crop search found no common interior; keeping full frame")
         return full
-    if fits(1.0):
-        return full
-    lo, hi = 0.0, 1.0
-    for _ in range(CROP_SEARCH_ITERS):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    hw = lo * (w - 1) / 2.0
-    hh = lo * (h - 1) / 2.0
-    x0 = max(0, int(np.ceil(cx - hw - _CROP_EPS)))
-    y0 = max(0, int(np.ceil(cy - hh - _CROP_EPS)))
-    x1 = min(w - 1, int(np.floor(cx + hw + _CROP_EPS)))
-    y1 = min(h - 1, int(np.floor(cy + hh + _CROP_EPS)))
+    shrink = _CROP_EPS / half
+    p = (rings - half) / half  # (T, C, 2) in (u, v)
+    d = np.roll(p, -1, axis=1) - p  # each edge, the closing one included
+    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    level = (shrink[1] - shrink[0]) * np.array([1.0, -1.0, 1.0, -1.0])
+    slope = d[..., :1] + sign * d[..., 1:]  # (T, C, 4)
+    # an edge parallel to its kink line gets t = 0: its vertices decide
+    t = np.divide(level - p[..., :1] - sign * p[..., 1:], slope,
+                  out=np.zeros_like(slope), where=slope != 0.0).clip(0.0, 1.0)
+    q = np.concatenate([p[..., None, :], p[..., None, :] + t[..., None] * d[..., None, :]], axis=2)
+    s = float((np.abs(q) + shrink).max(axis=-1).min())
+    lo = np.floor(s * 2.0**CROP_SEARCH_ITERS) / 2.0**CROP_SEARCH_ITERS
+    x0, y0 = np.maximum(0, np.ceil(half - lo * half - _CROP_EPS)).astype(int).tolist()
+    x1, y1 = np.minimum([w - 1, h - 1], np.floor(half + lo * half + _CROP_EPS)).astype(int).tolist()
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
@@ -385,6 +348,7 @@ def load_warpfield(path: str | Path) -> WarpField:
     frames = []
     for _ in range(count):
         ln, head = take()
+        head_ln = ln
         if len(head) != 3:
             raise ParseError(
                 "frame header must be '<triangles> <vertices> <controls>'", line=ln
@@ -432,6 +396,8 @@ def load_warpfield(path: str | Path) -> WarpField:
             except ValueError:
                 raise ParseError("malformed vertex line", line=ln) from None
         verts = np.array(verts, dtype=np.float64).reshape(nvert, 4)
+        if nc < 3:  # the crop takes the last nc vertices as the border ring
+            raise ParseError(f"a frame needs at least 3 controls, got {nc}", line=head_ln)
         src = np.ascontiguousarray(verts[:, :2])
         dst = np.ascontiguousarray(verts[:, 2:])
         # rendering trusts the stored affines: each must carry its

@@ -231,6 +231,18 @@ def test_render_rejects_mismatched_field(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+def test_render_rejects_field_with_too_few_controls(tmp_path):
+    # with no controls the crop would take every vertex as the border ring
+    indir = tmp_path / "in"
+    save_frame_dir([GrayFrame.from_array(np.zeros((48, 64)))], indir)
+    wf = tmp_path / "f.txt"
+    wf.write_text("1 64 48\n2 4 0\n"
+                  "1.0 0.0 0.0 0.0 1.0 0.0 0 1 2\n1.0 0.0 0.0 0.0 1.0 0.0 0 2 3\n"
+                  "20 15 20 15\n43 15 43 15\n43 32 43 32\n20 32 20 32\n",
+                  encoding="utf-8")
+    assert cli.main(["render", str(indir), str(wf), "--out", str(tmp_path / "o")]) == 3
+
+
 def test_render_rejects_tampered_affine(tmp_path):
     rng = np.random.default_rng(42)
     frames, _ = textured_frames(rng, width=64, height=48, frame_count=4)

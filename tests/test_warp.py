@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstab import warp as wp
 from meshstab.errors import DegenerateGeometryError, ParseError
 from meshstab.frames import GrayFrame
-from meshstab.mesh import build_all_meshes
+from meshstab.mesh import build_all_meshes, make_control_points
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
 
 W, H, T, N = 64, 48, 4, 7
@@ -198,6 +202,7 @@ def test_flipped_triangles_are_flagged():
         ("1 64 48\n0 0 -1\n", "line 2: negative count"),
         ("1 64 48\n1000000000000 3 0\n", "end of file"),
         ("1 64 48\n1 3 0\n1 0 0 0 1 0 0 1 99999999999999999999\n", "line 3: .* out of range"),
+        ("1 64 48\n0 2 2\n0 0 0 0\n1 1 1 1\n", "line 2: .*at least 3 controls"),
     ],
 )
 def test_warpfield_parse_errors(tmp_path, text, frag):
@@ -249,3 +254,178 @@ def test_apply_crop_bounds():
     assert (got.height, got.width) == (8, 10)
     with pytest.raises(ValueError, match="crop"):
         wp.apply_crop(img, (60, 0, 10, 8))
+
+
+# --- common crop against a bisection of the same containment test ---
+
+
+def _orient2(ax, ay, bx, by, cx, cy) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _segments_cross_properly(p, q, r, s) -> bool:
+    o1 = _orient2(*p, *q, *r)
+    o2 = _orient2(*p, *q, *s)
+    o3 = _orient2(*r, *s, *p)
+    o4 = _orient2(*r, *s, *q)
+    return (o1 * o2 < 0.0) and (o3 * o4 < 0.0)
+
+
+def _rect_inside_polygon(rect: tuple[float, float, float, float], poly: np.ndarray) -> bool:
+    x0, y0, x1, y1 = rect
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    if not wp._points_in_polygon(corners, poly).all():
+        return False
+    edges = [
+        ((x0, y0), (x1, y0)),
+        ((x1, y0), (x1, y1)),
+        ((x1, y1), (x0, y1)),
+        ((x0, y1), (x0, y0)),
+    ]
+    n = poly.shape[0]
+    for k in range(n):
+        r = tuple(poly[k])
+        s = tuple(poly[(k + 1) % n])
+        for p, q in edges:
+            if _segments_cross_properly(p, q, r, s):
+                return False
+    return True
+
+
+def _bisection_crop(field: wp.WarpField) -> tuple[int, int, int, int]:
+    """Reference common_crop: bisect the crop scale, testing every ring edge."""
+    w, h = field.frame_size
+    full = (0, 0, w, h)
+    if not field.frames:
+        return full
+    polys = [fw.dst[-field.n_controls:] for fw in field.frames]
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+
+    def fits(scale: float) -> bool:
+        hw = scale * (w - 1) / 2.0
+        hh = scale * (h - 1) / 2.0
+        rect = (
+            cx - hw + wp._CROP_EPS,
+            cy - hh + wp._CROP_EPS,
+            cx + hw - wp._CROP_EPS,
+            cy + hh - wp._CROP_EPS,
+        )
+        return all(_rect_inside_polygon(rect, p) for p in polys)
+
+    if not fits(0.0):
+        return full
+    if fits(1.0):
+        return full
+    lo, hi = 0.0, 1.0
+    for _ in range(wp.CROP_SEARCH_ITERS):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    hw = lo * (w - 1) / 2.0
+    hh = lo * (h - 1) / 2.0
+    x0 = max(0, int(np.ceil(cx - hw - wp._CROP_EPS)))
+    y0 = max(0, int(np.ceil(cy - hh - wp._CROP_EPS)))
+    x1 = min(w - 1, int(np.floor(cx + hw + wp._CROP_EPS)))
+    y1 = min(h - 1, int(np.floor(cy + hh + wp._CROP_EPS)))
+    return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
+def _ring_field(size, rings):
+    """A warp field whose frames hold only their stabilized border rings."""
+    frames = tuple(
+        wp.FrameWarp(triangles=np.zeros((0, 3), dtype=np.int64), src=r, dst=r,
+                     affines=np.zeros((0, 2, 3)), flipped=np.zeros(0, dtype=np.int64))
+        for r in rings)
+    return wp.WarpField(frame_size=size, n_controls=len(rings[0]), frames=frames)
+
+
+def _scaled_ring(size, k, per_edge=10):
+    """The control ring scaled by k about the frame center."""
+    c = (np.array(size) - 1.0) / 2.0
+    return c + k * (make_control_points(*size, per_edge) - c)
+
+
+def _corner_ring(size):
+    # the top-left corner pulled in along the crop's corner diagonal
+    ring = _scaled_ring(size, 1.0)
+    ring[0] = _scaled_ring(size, 0.6)[0]
+    return ring
+
+
+def _flipped_ring(size):
+    # two vertices traded across the top-right corner: the ring crosses itself
+    ring = _scaled_ring(size, 0.9)
+    ring[[7, 10]] = ring[[10, 7]]
+    return ring
+
+
+SIZES = [(64, 48), (81, 61), (160, 120), (320, 240)]
+_CROP_CASES = (
+    [(f"identity-{w}x{h}", (w, h), [_scaled_ring((w, h), 1.0)], True) for w, h in SIZES]
+    + [(f"scaled{k}-{w}x{h}", (w, h), [_scaled_ring((w, h), k)], False)
+       for k in (0.3, 0.5, 0.75, 0.999) for w, h in SIZES]
+    # just below a grid point, within the _CROP_EPS shrink: the bisection
+    # still accepts the grid point
+    + [(f"below-grid{k}-{w}x{h}", (w, h), [_scaled_ring((w, h), k)], k > 0.9)
+       for k in (0.75 - 1e-11, 1.0 - 1e-12) for w, h in SIZES]
+    # every edge parallel to a diagonal, where the kink lies between vertices
+    + [(f"diamond-{w}x{h}", (w, h), [make_control_points(w, h, 3)[1::2]], False)
+       for w, h in SIZES]
+    + [(f"corner-{w}x{h}", (w, h), [_corner_ring((w, h))], False) for w, h in SIZES]
+    + [(f"flipped-{w}x{h}", (w, h), [_scaled_ring((w, h), 0.95), _flipped_ring((w, h))], False)
+       for w, h in SIZES]
+)
+
+
+@pytest.mark.parametrize("size, rings, full", [c[1:] for c in _CROP_CASES],
+                         ids=[c[0] for c in _CROP_CASES])
+def test_common_crop_matches_bisection(size, rings, full):
+    field = _ring_field(size, rings)
+    rect = wp.common_crop(field)
+    assert rect == _bisection_crop(field)
+    assert (rect == (0, 0, *size)) == full
+
+
+def test_common_crop_cut_corner_minimum_between_vertices():
+    # the top-left corner cut by u + v = -L: the least shrunk L-inf value on
+    # that edge, (L + ea + eb)/2, lies between its vertices and just below 3/4
+    a, b = 40.0, 30.0
+    ea, eb = wp._CROP_EPS / a, wp._CROP_EPS / b
+    cut = 1.5 - 1.5 * eb - 0.5 * ea
+    uv = np.array([[-0.9, 0.9 - cut], [0.9 - cut, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+    field = _ring_field((81, 61), [np.array([a, b]) * (1.0 + uv)])
+    assert wp.common_crop(field) == _bisection_crop(field) == (11, 8, 59, 45)
+
+
+def test_common_crop_exposed_center_warns_and_keeps_full_frame(caplog):
+    outside = _scaled_ring((64, 48), 0.5) + [40.0, 0.0]
+    field = _ring_field((64, 48), [_scaled_ring((64, 48), 0.9), outside])
+    with caplog.at_level(logging.WARNING, logger="meshstab.warp"):
+        assert wp.common_crop(field) == (0, 0, 64, 48)
+    assert "no common interior" in caplog.text
+    assert _bisection_crop(field) == (0, 0, 64, 48)
+
+
+def test_common_crop_empty_field_is_full_frame():
+    field = wp.WarpField(frame_size=(64, 48), n_controls=36, frames=())
+    assert wp.common_crop(field) == _bisection_crop(field) == (0, 0, 64, 48)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(size=st.sampled_from(SIZES), frames=st.integers(1, 4),
+       per_edge=st.integers(2, 6), spread=st.sampled_from([0.5, 2.0, 6.0]),
+       flips=st.lists(st.integers(0, 16), max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_common_crop_matches_bisection_on_perturbed_rings(size, frames, per_edge, spread,
+                                                          flips, seed):
+    rng = np.random.default_rng(seed)
+    rings = []
+    for _ in range(frames):
+        ring = _scaled_ring(size, 1.0, per_edge) + rng.normal(0.0, spread, (4 * per_edge - 4, 2))
+        for j in flips:
+            j %= len(ring) - 2
+            ring[[j, j + 2]] = ring[[j + 2, j]]
+        rings.append(ring)
+    field = _ring_field(size, rings)
+    assert wp.common_crop(field) == _bisection_crop(field)
