@@ -38,7 +38,6 @@ __all__ = [
     "similarity_coords",
     "reconstruct_similar",
     "barycentric",
-    "dump_mesh",
 ]
 
 AREA_EPS = 1e-9          # triangles at or below this area are degenerate
@@ -353,18 +352,3 @@ def barycentric(p: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -
     wb = _orient(v1, p, v3) / denom
     wc = _orient(v1, v2, p) / denom
     return float(wa), float(wb), float(wc)
-
-
-def dump_mesh(mesh: FrameMesh) -> str:
-    """Debug text dump: vertex lines then triangle lines with an
-    inner/outer tag."""
-    lines = [f"frame {mesh.frame} {mesh.frame_size[0]} {mesh.frame_size[1]}"]
-    for fid, p in zip(mesh.feature_ids, mesh.feature_points):
-        lines.append(f"v {float(p[0])!r} {float(p[1])!r} feature {int(fid)}")
-    for p in mesh.control_points:
-        lines.append(f"v {float(p[0])!r} {float(p[1])!r} control")
-    inner = set(int(i) for i in mesh.inner)
-    for k, (a, b, c) in enumerate(mesh.triangles):
-        tag = "inner" if k in inner else "outer"
-        lines.append(f"t {int(a)} {int(b)} {int(c)} {tag}")
-    return "\n".join(lines) + "\n"

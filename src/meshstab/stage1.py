@@ -63,7 +63,6 @@ __all__ = [
     "assemble_stage1",
     "solve",
     "stabilize_stage1",
-    "dump_problem",
 ]
 
 DENSE_CUTOFF = 2000
@@ -510,16 +509,3 @@ def stabilize_stage1(
         lsm_table = build_lsm_table(ts, cfg.lsm)
     prob = assemble_stage1(ts, meshes, lsm_table, cfg)
     return solve(prob, cfg)
-
-
-def dump_problem(prob: QuadraticProblem) -> str:
-    """Text dump: matrix in coordinate form, then RHS, then the constant."""
-    a = prob.matrix().tocoo()
-    lines = [f"matrix {prob.n} {a.nnz}"]
-    for i, j, v in zip(a.row, a.col, a.data):
-        lines.append(f"{i} {j} {float(v)!r}")
-    lines.append(f"rhs {prob.n}")
-    for i, v in enumerate(prob.b):
-        lines.append(f"{i} {float(v)!r}")
-    lines.append(f"const {float(prob.const)!r}")
-    return "\n".join(lines) + "\n"

@@ -40,7 +40,6 @@ __all__ = [
     "assemble_stage2_frame",
     "solve_frame",
     "solve_stage2",
-    "dump_frame_problem",
 ]
 
 SINGULAR_EIG_RATIO = 1e-10
@@ -147,16 +146,3 @@ def solve_stage2(
     return StabilizedControlPoints(
         points=np.array(out), fallback_frames=tuple(fallback)
     )
-
-
-def dump_frame_problem(prob: StageTwoFrameProblem) -> str:
-    """Coordinate-format text dump matching the stage-1 dump layout."""
-    nz = np.nonzero(prob.a)
-    lines = [f"matrix {prob.n} {len(nz[0])}"]
-    for i, j in zip(*nz):
-        lines.append(f"{i} {j} {float(prob.a[i, j])!r}")
-    lines.append(f"rhs {prob.n}")
-    for i, v in enumerate(prob.b):
-        lines.append(f"{i} {float(v)!r}")
-    lines.append(f"const {float(prob.const)!r}")
-    return "\n".join(lines) + "\n"

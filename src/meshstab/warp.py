@@ -70,6 +70,25 @@ def triangle_affine(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return coef.T.copy()
 
 
+def _triangle_affines(src: np.ndarray, dst: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """triangle_affine for every triangle of (K, 3) `tris`, as (K, 2, 3).
+
+    Gives the same floats: the translations get the same exact
+    coefficients, and the rest the same LAPACK solve, batched.
+    """
+    s, t = src[tris], dst[tris]
+    d = t - s
+    moved = ~(d == d[:, :1]).all(axis=(1, 2))
+    out = np.zeros((len(tris), 2, 3))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, :, 2] = d[:, 0]
+    if (np.abs(_triangle_cross(src, tris[moved])) <= 2.0 * AREA_EPS).any():
+        raise DegenerateGeometryError("source triangle is degenerate")
+    m = np.concatenate([s[moved], np.ones((moved.sum(), 3, 1))], axis=2)
+    out[moved] = np.swapaxes(np.linalg.solve(m, t[moved]), 1, 2)
+    return out
+
+
 def _triangle_cross(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle."""
     p = pts[tris]
@@ -162,15 +181,12 @@ def build_warp_field(
         ).reshape(mesh.n_features, 2)
         src = mesh.points
         dst = np.vstack([stab_feat, ctrl[mesh.frame]])
-        affines = np.array(
-            [triangle_affine(src[tri], dst[tri]) for tri in mesh.triangles]
-        ).reshape(-1, 2, 3)
         frames.append(
             FrameWarp(
                 triangles=mesh.triangles,
                 src=src,
                 dst=dst,
-                affines=affines,
+                affines=_triangle_affines(src, dst, mesh.triangles),
                 flipped=_flagged_triangles(src, dst, mesh.triangles),
             )
         )
@@ -255,7 +271,8 @@ def common_crop(field: WarpField) -> tuple[int, int, int, int]:
     rounding resolves about 1e-8 px, so an unrounded s could move an edge.
 
     Returns (x0, y0, width, height); if even the center point is exposed
-    somewhere, returns the full frame with a warning.
+    somewhere, or the rectangle holds no pixel, returns the full frame
+    with a warning.
     """
     w, h = field.frame_size
     full = (0, 0, w, h)
@@ -281,6 +298,9 @@ def common_crop(field: WarpField) -> tuple[int, int, int, int]:
     lo = np.floor(s * 2.0**CROP_SEARCH_ITERS) / 2.0**CROP_SEARCH_ITERS
     x0, y0 = np.maximum(0, np.ceil(half - lo * half - _CROP_EPS)).astype(int).tolist()
     x1, y1 = np.minimum([w - 1, h - 1], np.floor(half + lo * half + _CROP_EPS)).astype(int).tolist()
+    if x1 < x0 or y1 < y0:  # the rectangle holds no pixel
+        log.warning("crop search found no common interior; keeping full frame")
+        return full
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 

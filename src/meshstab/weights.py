@@ -26,11 +26,9 @@ __all__ = [
     "LsmParams",
     "LsmTable",
     "temporal_weight",
-    "knn_neighbors",
     "fit_local_homography",
     "lsm_weight",
     "build_lsm_table",
-    "dump_lsm_table",
 ]
 
 COND_LIMIT = 1e12
@@ -56,28 +54,6 @@ def temporal_weight(d, sigma: float = 10.0):
     u = (np.asarray(d, dtype=np.float64) - sigma) / sigma
     out = np.exp(-(u**3))
     return out if out.ndim else float(out)
-
-
-def knn_neighbors(
-    points: list[tuple[int, np.ndarray]],
-    target_id: int,
-    k: int,
-) -> list[int]:
-    """Ids of the k points nearest to `target_id` (itself excluded).
-
-    Distance ties break by ascending id.  When fewer than k other points
-    exist, all of them are returned.
-    """
-    ids = np.array([pid for pid, _ in points], dtype=np.int64)
-    pos = np.array([p for _, p in points], dtype=np.float64)
-    where = np.nonzero(ids == target_id)[0]
-    if len(where) != 1:
-        raise KeyError(f"point id {target_id} not present exactly once")
-    i = int(where[0])
-    d = np.hypot(pos[:, 0] - pos[i, 0], pos[:, 1] - pos[i, 1])
-    order = np.lexsort((ids, d))
-    out = [int(ids[j]) for j in order if j != i]
-    return out[:k]
 
 
 def fit_local_homography(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,21 +179,101 @@ def lsm_weight(
     return float(np.clip(theta * residual, params.clamp_low, params.clamp_high))
 
 
+def _frame_tables(ts: TrajectorySet) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every frame's alive ids (ascending) and their positions, in one pass."""
+    trs = ts.trajectories
+    if not trs:
+        return ([np.zeros(0, dtype=np.int64)] * ts.frame_count,
+                [np.zeros((0, 2))] * ts.frame_count)
+    ids = np.repeat([tr.id for tr in trs], [len(tr) for tr in trs])
+    frame = np.concatenate([np.arange(tr.start_frame, tr.end_frame + 1) for tr in trs])
+    pts = np.concatenate([tr.points for tr in trs])
+    order = np.lexsort((ids, frame))
+    cuts = np.searchsorted(frame[order], np.arange(1, ts.frame_count))
+    return np.split(ids[order], cuts), np.split(pts[order], cuts)
+
+
+def _batched_residuals(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """fit_local_homography's residual for each of N (m, 2) point sets.
+
+    Sets whose fit fit_local_homography rejects (non-finite, rank-deficient
+    or beyond COND_LIMIT) get NaN.  m must be at least 4.
+    """
+    n, m = src.shape[:2]
+    x, y = src[..., 0], src[..., 1]
+    xp, yp = dst[..., 0], dst[..., 1]
+    A = np.zeros((n, 2 * m, 8))
+    A[:, 0::2, 0] = x
+    A[:, 0::2, 1] = y
+    A[:, 0::2, 2] = 1.0
+    A[:, 0::2, 6] = -xp * x
+    A[:, 0::2, 7] = -xp * y
+    A[:, 1::2, 3] = x
+    A[:, 1::2, 4] = y
+    A[:, 1::2, 5] = 1.0
+    A[:, 1::2, 6] = -yp * x
+    A[:, 1::2, 7] = -yp * y
+    rhs = dst.reshape(n, 2 * m)
+    out = np.full(n, np.nan)
+    ok = np.nonzero(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))[0]
+    u, s, vt = np.linalg.svd(A[ok], full_matrices=False)
+    # lstsq's rank rule for rcond=None, then the same condition guard
+    rank = (s > np.finfo(np.float64).eps * max(2 * m, 8) * s[:, :1]).sum(axis=1)
+    good = (rank == 8) & (s[:, -1] > s[:, 0] / COND_LIMIT)
+    ok, u, s, vt = ok[good], u[good], s[good], vt[good]
+    # the residual is taken from A h - b, not from ||b||^2 - ||U^T b||^2,
+    # which cancels for the near-exact fits of a rigid background
+    b = rhs[ok, :, None]
+    h = np.swapaxes(vt, 1, 2) @ ((np.swapaxes(u, 1, 2) @ b) / s[..., None])
+    r = (A[ok] @ h - b)[..., 0]
+    out[ok] = (r * r).sum(axis=1)
+    return out
+
+
+def _pair_weights(pos_t: np.ndarray, pos_p: np.ndarray, params: LsmParams,
+                  rho: float) -> np.ndarray:
+    """lsm_weight for every feature co-visible in frames t and t-1.
+
+    pos_t and pos_p hold the features' positions in the two frames, in
+    ascending id order.
+    """
+    n_others = len(pos_t) - 1
+    k_eff = min(params.k, n_others)
+    weight = np.ones(len(pos_t))
+    # fit_local_homography needs the feature plus at least 3 neighbors
+    if n_others < params.min_neighbors or k_eff + 1 < 4:
+        return weight
+    x, y = pos_t[:, 0], pos_t[:, 1]
+    d = np.hypot(x[None] - x[:, None], y[None] - y[:, None])
+    np.fill_diagonal(d, np.inf)
+    # rows are in id order, so a stable sort breaks distance ties by id
+    nb = np.argsort(d, axis=1, kind="stable")[:, :k_eff]
+    theta = np.take_along_axis(d, nb, axis=1).sum(axis=1) / (k_eff * rho)
+    rows = np.column_stack([np.arange(len(pos_t)), nb])
+    resid = _batched_residuals(pos_t[rows], pos_p[rows])
+    fit = ~np.isnan(resid)
+    weight[fit] = np.clip(theta[fit] * resid[fit], params.clamp_low, params.clamp_high)
+    return weight
+
+
 def build_lsm_table(ts: TrajectorySet, params: LsmParams = LsmParams()) -> LsmTable:
     """Weights for every (frame, trajectory) pair alive in the set.
 
-    Each entry depends only on two consecutive frames, so rows could be
-    computed in parallel; this builds them serially for determinism of
-    accumulation order (the values themselves are order-free).
+    One batched pass per frame: the features co-visible in frames t and
+    t-1, each one's k nearest neighbors from one distance matrix, and one
+    stacked SVD for all of the frame's homography fits.  lsm_weight is the
+    scalar reference; the entries match it up to the round-off of that SVD
+    against lstsq's (about 1e-12 relative).
     """
+    ids, pts = _frame_tables(ts)
+    w, h = ts.frame_size
+    rho = (w / params.tau + h / params.tau) / 2.0
     table: dict[tuple[int, int], float] = {}
     for t in range(ts.frame_count):
-        for tr in ts.trajectories:
-            if tr.alive_at(t):
-                table[(t, tr.id)] = lsm_weight(ts, t, tr.id, params)
+        # a trajectory's first frame is not in common and stays neutral
+        weight = np.ones(ids[t].size)
+        if t > 0:
+            _, it, ip = np.intersect1d(ids[t], ids[t - 1], return_indices=True)
+            weight[it] = _pair_weights(pts[t][it], pts[t - 1][ip], params, rho)
+        table.update(zip(zip([t] * weight.size, ids[t].tolist()), weight.tolist()))
     return LsmTable(weights=table)
-
-
-def dump_lsm_table(table: LsmTable) -> str:
-    lines = [f"{t} {tid} {float(w)!r}" for (t, tid), w in sorted(table.weights.items())]
-    return "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ from meshstab.frames import load_frame_dir, save_frame_dir, GrayFrame
 from meshstab.trajectory import load_trajectories
 
 from conftest import textured_frames
-from test_warp import nudge_affine
+from meshstab.warp import save_warpfield
+from test_warp import _ring_field, _scaled_ring, nudge_affine
 
 
 def _report_dict(path):
@@ -241,6 +242,19 @@ def test_render_rejects_field_with_too_few_controls(tmp_path):
                   "20 15 20 15\n43 15 43 15\n43 32 43 32\n20 32 20 32\n",
                   encoding="utf-8")
     assert cli.main(["render", str(indir), str(wf), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_render_keeps_full_frame_when_crop_holds_no_pixel(tmp_path):
+    # a border ring shrunk to 1/200 about the center leaves a crop that
+    # rounds to width and height 0 at 64x48
+    indir = tmp_path / "in"
+    save_frame_dir([GrayFrame.from_array(np.zeros((48, 64)))], indir)
+    wf = tmp_path / "f.txt"
+    save_warpfield(_ring_field((64, 48), [_scaled_ring((64, 48), 0.005)]), wf)
+    out = tmp_path / "o"
+    assert cli.main(["render", str(indir), str(wf), "--out", str(out)]) == 0
+    assert [(f.width, f.height) for f in load_frame_dir(out)] == [(64, 48)]
+    assert "crop_rect=0,0,64,48" in (out / "render.manifest").read_text()
 
 
 def test_render_rejects_tampered_affine(tmp_path):

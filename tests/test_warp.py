@@ -147,6 +147,43 @@ def test_affines_hit_vertices_exactly():
     assert worst <= 1e-9
 
 
+def test_warp_field_affines_equal_triangle_affine():
+    # build_warp_field solves a frame's triangles in one batch; the
+    # per-triangle triangle_affine is the reference, bit for bit
+    rng = np.random.default_rng(7)
+    ts = _static_set(rng)
+    meshes = build_all_meshes(ts)
+    ctrl = np.array([m.control_points for m in meshes])
+    some_moved = TrajectorySet(tuple(
+        FeatureTrajectory(id=tr.id, start_frame=0,
+                          points=tr.points + (tr.id % 3 == 0) * rng.uniform(-2, 2, (T, 2)))
+        for tr in ts.trajectories), T, (W, H))
+    fields = [
+        wp.build_warp_field(meshes, ts, ctrl),
+        wp.build_warp_field(meshes, _shift_set(ts, 1.25, -0.5), ctrl + [1.25, -0.5]),
+        wp.build_warp_field(meshes, some_moved, ctrl),
+        _deformed_field(rng)[1],
+    ]
+    for field in fields:
+        for fw in field.frames:
+            ref = np.array([wp.triangle_affine(fw.src[tri], fw.dst[tri])
+                            for tri in fw.triangles])
+            assert np.array_equal(fw.affines, ref)
+    identity = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert all((fw.affines == identity).all() for fw in fields[0].frames)
+    assert all((fw.affines[:, :, :2] == identity[:, :2]).all() for fw in fields[1].frames)
+    mixed = fields[2].frames[0].affines
+    assert 0 < (mixed == identity).all(axis=(1, 2)).sum() < len(mixed)
+
+    # a collinear triangle raises once it moves, as triangle_affine does
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 3, 4]])
+    assert np.array_equal(wp._triangle_affines(pts, pts + [3.0, 1.0], tris),
+                          [wp.triangle_affine(pts[t], pts[t] + [3.0, 1.0]) for t in tris])
+    with pytest.raises(DegenerateGeometryError, match="degenerate"):
+        wp._triangle_affines(pts, 2.0 * pts, tris)
+
+
 def test_adjacent_triangle_maps_agree_on_shared_edge():
     rng = np.random.default_rng(7)
     meshes, field = _deformed_field(rng)
@@ -329,6 +366,8 @@ def _bisection_crop(field: wp.WarpField) -> tuple[int, int, int, int]:
     y0 = max(0, int(np.ceil(cy - hh - wp._CROP_EPS)))
     x1 = min(w - 1, int(np.floor(cx + hw + wp._CROP_EPS)))
     y1 = min(h - 1, int(np.floor(cy + hh + wp._CROP_EPS)))
+    if x1 < x0 or y1 < y0:
+        return full
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
@@ -376,6 +415,8 @@ _CROP_CASES = (
     + [(f"corner-{w}x{h}", (w, h), [_corner_ring((w, h))], False) for w, h in SIZES]
     + [(f"flipped-{w}x{h}", (w, h), [_scaled_ring((w, h), 0.95), _flipped_ring((w, h))], False)
        for w, h in SIZES]
+    # the crop rounds to no pixel of an even-sized frame: keep the full frame
+    + [("no-pixel-64x48", (64, 48), [_scaled_ring((64, 48), 0.005)], True)]
 )
 
 

@@ -2,18 +2,47 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstab.errors import DegenerateGeometryError
-from meshstab.trajectory import FeatureTrajectory, TrajectorySet
+from meshstab.trajectory import FeatureTrajectory, TrajectorySet, make_scene_spec, synthesize_scene
 from meshstab.weights import (
     LsmParams,
     build_lsm_table,
-    dump_lsm_table,
     fit_local_homography,
-    knn_neighbors,
     lsm_weight,
     temporal_weight,
 )
+
+from conftest import random_set
+
+
+def knn_neighbors(
+    points: list[tuple[int, np.ndarray]],
+    target_id: int,
+    k: int,
+) -> list[int]:
+    """Ids of the k points nearest to `target_id` (itself excluded).
+
+    Distance ties break by ascending id.  When fewer than k other points
+    exist, all of them are returned.
+    """
+    ids = np.array([pid for pid, _ in points], dtype=np.int64)
+    pos = np.array([p for _, p in points], dtype=np.float64)
+    where = np.nonzero(ids == target_id)[0]
+    if len(where) != 1:
+        raise KeyError(f"point id {target_id} not present exactly once")
+    i = int(where[0])
+    d = np.hypot(pos[:, 0] - pos[i, 0], pos[:, 1] - pos[i, 1])
+    order = np.lexsort((ids, d))
+    out = [int(ids[j]) for j in order if j != i]
+    return out[:k]
+
+
+def dump_lsm_table(table) -> str:
+    lines = [f"{t} {tid} {float(w)!r}" for (t, tid), w in sorted(table.weights.items())]
+    return "\n".join(lines) + "\n"
 
 
 def test_temporal_weight_anchor_values():
@@ -231,3 +260,156 @@ def test_lsm_in_clamp_range_randomized():
         table = build_lsm_table(ts)
         for (t, tid), v in table.weights.items():
             assert 0.1 <= v <= 10.0
+
+
+# --- the batched table against lsm_weight, entry by entry ---
+
+
+def _assert_table_matches_oracle(ts, params=LsmParams(), rel=1e-12):
+    got = build_lsm_table(ts, params).weights
+    ref = {(t, tr.id): lsm_weight(ts, t, tr.id, params)
+           for t in range(ts.frame_count) for tr in ts.trajectories if tr.alive_at(t)}
+    assert got.keys() == ref.keys()
+    for (t, tid), v in got.items():
+        assert type(t) is int and type(tid) is int and type(v) is float
+        assert abs(v - ref[t, tid]) <= rel * abs(ref[t, tid]), (t, tid, v, ref[t, tid])
+    return got
+
+
+def _set(points_by_id, starts=None, size=(200, 150)):
+    starts = starts or {}
+    trajs = tuple(FeatureTrajectory(id=i, start_frame=starts.get(i, 0), points=p)
+                  for i, p in points_by_id.items())
+    frames = max(tr.end_frame for tr in trajs) + 1
+    return TrajectorySet(trajs, frames, size)
+
+
+def test_lsm_table_matches_oracle_on_staggered_trajectories():
+    rng = np.random.default_rng(60)
+    for _ in range(4):
+        ts = random_set(rng, n_traj=16, frame_count=10, width=200, height=150,
+                        jitter=0.3, staggered=True)
+        got = _assert_table_matches_oracle(ts)
+        assert any(0.1 < v < 10.0 and v != 1.0 for v in got.values())
+    starts = [tr.start_frame for tr in ts.trajectories]
+    ends = [tr.end_frame for tr in ts.trajectories]
+    assert min(starts) == 0 < max(starts) and min(ends) < ts.frame_count - 1
+
+
+def test_lsm_table_too_few_covisible_features_is_neutral():
+    rng = np.random.default_rng(61)
+    anchors = rng.uniform(20, 130, (6, 2))
+    # ids 0-3 live through frames 0-4; 4 and 5 only through frames 0-2, so
+    # frames 3 and 4 see 3 other co-visible features, below min_neighbors
+    pts = {i: anchors[i] + rng.uniform(-3, 3, (5 if i < 4 else 3, 2)) for i in range(6)}
+    ts = _set(pts)
+    got = _assert_table_matches_oracle(ts)
+    assert all(got[t, i] == 1.0 for t in (3, 4) for i in range(4))
+    assert any(got[t, i] != 1.0 for t in (1, 2) for i in range(6))
+
+
+def test_lsm_table_min_neighbors_zero_rejects_small_fits():
+    rng = np.random.default_rng(62)
+    anchors = rng.uniform(20, 130, (4, 2))
+    # 4, 3 and 2 co-visible features in frames 1, 2 and 3: with fewer than
+    # 4 points fit_local_homography rejects the fit and the weight is 1.0;
+    # with 4 the 8x8 system fits exactly and clamps low
+    pts = {i: anchors[i] + rng.uniform(-3, 3, (n, 2)) for i, n in enumerate([4, 4, 3, 2])}
+    ts = _set(pts)
+    params = LsmParams(min_neighbors=0)
+    got = _assert_table_matches_oracle(ts, params)
+    assert {got[t, i] for t in (2, 3) for i in range(4) if (t, i) in got} == {1.0}
+    assert all(got[1, i] == params.clamp_low for i in range(4))
+
+
+def test_lsm_table_breaks_distance_ties_by_id():
+    rng = np.random.default_rng(63)
+    # a regular grid puts many neighbors at equal distances, and four more
+    # features sit on top of grid points; ids are shuffled over positions,
+    # and the motion fits no homography, so the weight depends on which
+    # tied neighbors are taken
+    gx, gy = np.meshgrid(np.arange(40.0, 161.0, 20.0), np.arange(30.0, 121.0, 30.0))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])[:20]
+    anchors = np.vstack([grid, grid[[3, 7, 8, 12]]])
+    order = rng.permutation(len(anchors))
+    pts = {int(i): np.vstack([anchors[j] + rng.uniform(-2, 2, 2), anchors[j], anchors[j]])
+           for i, j in zip(order, range(len(anchors)))}
+    for params in (LsmParams(), LsmParams(k=4), LsmParams(k=5, tau=50.0)):
+        got = _assert_table_matches_oracle(_set(pts), params)
+        assert any(params.clamp_low < v < params.clamp_high for v in got.values())
+
+
+def test_lsm_table_collinear_neighborhood_is_neutral():
+    xs = np.arange(10.0, 190.0, 15.0)
+    line = {i: np.column_stack([np.full(3, x), 20.0 + 0.5 * x + np.array([0.0, 1.0, 3.0])])
+            for i, x in enumerate(xs)}
+    got = _assert_table_matches_oracle(_set(line))
+    assert set(got.values()) == {1.0}
+
+    # nearly collinear at frame 1: full rank by lstsq's rule, but a
+    # condition number near 1e13, beyond COND_LIMIT
+    rng = np.random.default_rng(66)
+    spread = rng.uniform(-50, 50, (9, 2))
+    at1 = np.column_stack([100.0 + spread[:, 0], 75.0 + 5e-9 * spread[:, 1]])
+    near = {i: np.vstack([at1[i] - [1.0, 0.5] + rng.uniform(-0.1, 0.1, 2), at1[i]])
+            for i in range(9)}
+    got = _assert_table_matches_oracle(_set(near))
+    assert set(got.values()) == {1.0}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lsm_table_overflowing_system_is_neutral():
+    rng = np.random.default_rng(65)
+    anchors = rng.uniform(20, 180, (10, 2))
+    pts = {i: anchors[i] + rng.uniform(-0.3, 0.3, (3, 2)) for i in range(10)}
+    # the design matrix holds x * x', which overflows for this point
+    pts[10] = np.full((3, 2), 1e200)
+    got = _assert_table_matches_oracle(_set(pts))
+    assert got[1, 10] == 1.0
+    assert any(0.1 < got[1, i] < 10.0 for i in range(10))
+
+
+def test_lsm_table_foreground_scene_between_clamps():
+    spec = make_scene_spec(width=320, height=240, frame_count=10, n_background=40,
+                           n_foreground=16, seed=4, path_amplitude=6.0,
+                           jitter_translation=2.0, jitter_rotation_deg=0.5,
+                           foreground_amplitude=20.0)
+    ts, _ = synthesize_scene(spec, 4)
+    got = _assert_table_matches_oracle(ts)
+    assert sum(0.1 < v < 10.0 for v in got.values()) > 100
+
+
+def test_lsm_table_mixed_k_eff_across_frames():
+    rng = np.random.default_rng(64)
+    anchors = rng.uniform(20, 180, (12, 2))
+    # 12, 9, 7 and 5 co-visible features in frames 1-4: k_eff 8, 8, 6, 4
+    lengths = [5] * 5 + [4] * 2 + [3] * 2 + [2] * 3
+    pts = {i: anchors[i] + rng.uniform(-0.3, 0.3, (n, 2)) for i, n in enumerate(lengths)}
+    got = _assert_table_matches_oracle(_set(pts))
+    assert all(0.1 < got[t, 0] < 10.0 for t in range(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 14), frames=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       grid=st.booleans(), jitter=st.sampled_from([0.1, 1.0, 5.0]), k=st.integers(4, 9),
+       tau=st.sampled_from([2.0, 10.0, 100.0]), min_neighbors=st.integers(0, 6))
+def test_lsm_table_matches_oracle_on_random_sets(n, frames, seed, grid, jitter, k, tau,
+                                                 min_neighbors):
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for tid in rng.permutation(3 * n)[:n].tolist():
+        # most live through the clip, so frames have enough co-visible features
+        start, end = sorted(rng.integers(0, frames, 2)) if rng.random() < 0.3 else (0, frames - 1)
+        length = int(end - start + 1)
+        step = rng.uniform(-jitter, jitter, (length, 2))
+        if grid:
+            # coarse grid anchors, some frames exactly on them: coincident
+            # points and distance ties
+            anchor = rng.integers(1, 5, 2) * 30.0
+            step *= rng.integers(0, 2, (length, 1))
+        else:
+            anchor = rng.uniform(10, 139, 2)
+        trajs.append(FeatureTrajectory(id=tid, start_frame=int(start), points=anchor + step))
+    ts = TrajectorySet(tuple(trajs), frames, (150, 150))
+    params = LsmParams(k=k, tau=tau, min_neighbors=min_neighbors)
+    _assert_table_matches_oracle(ts, params, rel=1e-10)
