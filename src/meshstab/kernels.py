@@ -5,6 +5,14 @@ the iterative flow refinement of every tracked point, and the per-pixel mesh
 render.  Each is vectorized here; the test suite keeps a plain-loop version
 of each as its reference.  ``BACKEND`` names the implementation and is
 recorded by the benchmark.
+
+The render takes all triangles of a frame in one pass.  Their bounding
+boxes are expanded into candidate pixels in triangle order, at most
+``_RASTER_CHUNK`` box pixels at a time (or one larger triangle), so the
+working set stays bounded however large or flipped the triangles are.
+Each pixel goes to the lowest-index triangle that contains it, and every
+owned pixel is then sampled once.  Image and owner map are bit-identical
+to the per-triangle loop.
 """
 
 from __future__ import annotations
@@ -156,53 +164,92 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
 
 _EDGE_TOL = 1e-7
 _SRC_TOL = 1e-9
+# box pixels expanded at once; a chunk holds at least one triangle
+_RASTER_CHUNK = 1 << 15
 
 
 def _raster_numpy(src, tris, inv_affines, out, owner):
     H, W = out.shape
     sh, sw = src.shape
-    for t in range(tris.shape[0]):
-        (x1, y1), (x2, y2), (x3, y3) = tris[t]
-        area = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-        if area == 0.0:
-            continue
-        s = 1.0 if area > 0.0 else -1.0
-        xmin = max(0, int(np.ceil(min(x1, x2, x3) - 1e-9)))
-        xmax = min(W - 1, int(np.floor(max(x1, x2, x3) + 1e-9)))
-        ymin = max(0, int(np.ceil(min(y1, y2, y3) - 1e-9)))
-        ymax = min(H - 1, int(np.floor(max(y1, y2, y3) + 1e-9)))
-        if xmin > xmax or ymin > ymax:
-            continue
-        xs = np.arange(xmin, xmax + 1, dtype=np.float64)
-        ys = np.arange(ymin, ymax + 1, dtype=np.float64)
-        xx, yy = np.meshgrid(xs, ys)
-        e1 = s * ((x2 - x1) * (yy - y1) - (y2 - y1) * (xx - x1))
-        e2 = s * ((x3 - x2) * (yy - y2) - (y3 - y2) * (xx - x2))
-        e3 = s * ((x1 - x3) * (yy - y3) - (y1 - y3) * (xx - x3))
-        inside = (e1 >= -_EDGE_TOL) & (e2 >= -_EDGE_TOL) & (e3 >= -_EDGE_TOL)
-        region = owner[ymin : ymax + 1, xmin : xmax + 1]
-        take = inside & (region < 0)
-        if not take.any():
-            continue
-        region[take] = t
-        a = inv_affines[t]
-        sx = a[0, 0] * xx[take] + a[0, 1] * yy[take] + a[0, 2]
-        sy = a[1, 0] * xx[take] + a[1, 1] * yy[take] + a[1, 2]
-        ok = ((sx >= -_SRC_TOL) & (sx <= sw - 1.0 + _SRC_TOL)
-              & (sy >= -_SRC_TOL) & (sy <= sh - 1.0 + _SRC_TOL))
-        vals = np.zeros(sx.shape[0])
-        if ok.any():
-            gx = np.minimum(np.maximum(sx[ok], 0.0), sw - 1.0)
-            gy = np.minimum(np.maximum(sy[ok], 0.0), sh - 1.0)
-            x0 = np.minimum(np.floor(gx).astype(np.intp), sw - 2)
-            y0 = np.minimum(np.floor(gy).astype(np.intp), sh - 2)
-            fx = gx - x0
-            fy = gy - y0
-            vals[ok] = (src[y0, x0] * (1.0 - fx) * (1.0 - fy)
-                        + src[y0, x0 + 1] * fx * (1.0 - fy)
-                        + src[y0 + 1, x0] * (1.0 - fx) * fy
-                        + src[y0 + 1, x0 + 1] * fx * fy)
-        out[ymin : ymax + 1, xmin : xmax + 1][take] = vals
+    K = tris.shape[0]
+    if not np.isfinite(tris).all():
+        raise ValueError("triangle vertices must be finite")
+    xs, ys = tris[:, :, 0], tris[:, :, 1]
+    x1, x2, x3 = xs.T
+    y1, y2, y3 = ys.T
+    area = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+    s = np.where(area > 0.0, 1.0, -1.0)
+    # boxes clamped to the frame; an empty box has min > max
+    xmin = np.clip(np.ceil(xs.min(axis=1) - 1e-9), 0, W).astype(np.intp)
+    xmax = np.clip(np.floor(xs.max(axis=1) + 1e-9), -1, W - 1).astype(np.intp)
+    ymin = np.clip(np.ceil(ys.min(axis=1) - 1e-9), 0, H).astype(np.intp)
+    ymax = np.clip(np.floor(ys.max(axis=1) + 1e-9), -1, H - 1).astype(np.intp)
+    bw = xmax - xmin + 1
+    bh = ymax - ymin + 1
+    keep = np.flatnonzero((area != 0.0) & (bw > 0) & (bh > 0))
+    npx = bw[keep] * bh[keep]
+    ends = np.cumsum(npx)
+    # edge a -> b tests s * ((xb - xa) * (y - ya) - (yb - ya) * (x - xa));
+    # folding s into both factors is exact (rounding is sign-symmetric), so
+    # every edge value is the loop's up to the sign of a zero
+    edges = [(s * (xb - xa), s * (yb - ya), xa, ya)
+             for xa, ya, xb, yb in ((x1, y1, x2, y2), (x2, y2, x3, y3), (x3, y3, x1, y1))]
+
+    # lowest covering triangle per pixel; K marks an uncovered pixel
+    first = np.full(H * W, K, dtype=np.int64)
+    lo = 0
+    while lo < keep.size:
+        start = ends[lo] - npx[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RASTER_CHUNK, side="right")))
+        tk = keep[lo:hi]
+        # one entry per box row, then one per box pixel, in triangle order
+        rt = np.repeat(tk, bh[tk])
+        ry = np.arange(rt.size) - np.repeat(np.cumsum(bh[tk]) - bh[tk] - ymin[tk], bh[tk])
+        wr = bw[rt]
+        xi = np.arange(ends[hi - 1] - start) - np.repeat(np.cumsum(wr) - wr - xmin[rt], wr)
+        xx = xi.astype(np.float64)
+        yy = ry.astype(np.float64)
+        inside = np.ones(xi.size, dtype=bool)
+        for a, b, xa, ya in edges:
+            # the y term is the same along a box row, so it is formed per row
+            e = (np.repeat(a[rt] * (yy - ya[rt]), wr)
+                 - np.repeat(b[rt], wr) * (xx - np.repeat(xa[rt], wr)))
+            inside &= e >= -_EDGE_TOL
+        pix = (np.repeat(ry * W, wr) + xi)[inside]
+        np.minimum.at(first, pix, np.repeat(rt, wr)[inside])
+        lo = hi
+
+    # pixels a caller already owns stay as they are
+    yi, xi = np.nonzero((first.reshape(H, W) < K) & (owner < 0))
+    pix = yi * W + xi
+    t = first[pix]
+    np.put(owner, pix, t)
+    xx = xi.astype(np.float64)
+    yy = yi.astype(np.float64)
+    a = inv_affines.reshape(K, 6)
+    sx = a[:, 0].take(t) * xx + a[:, 1].take(t) * yy + a[:, 2].take(t)
+    sy = a[:, 3].take(t) * xx + a[:, 4].take(t) * yy + a[:, 5].take(t)
+    ok = ((sx >= -_SRC_TOL) & (sx <= sw - 1.0 + _SRC_TOL)
+          & (sy >= -_SRC_TOL) & (sy <= sh - 1.0 + _SRC_TOL))
+    gx = np.minimum(np.maximum(sx[ok], 0.0), sw - 1.0)
+    gy = np.minimum(np.maximum(sy[ok], 0.0), sh - 1.0)
+    x0 = np.minimum(np.floor(gx).astype(np.intp), sw - 2)
+    y0 = np.minimum(np.floor(gy).astype(np.intp), sh - 2)
+    fx = gx - x0
+    fy = gy - y0
+    # flat gathers equal 2-D indexing, which wraps the -1 that a 1-px-wide
+    # (or -high) src clamps x0 (y0) to onto column (row) 0
+    c0 = np.maximum(x0, 0)
+    c1 = x0 + 1
+    r0 = np.maximum(y0, 0) * sw
+    r1 = (y0 + 1) * sw
+    flat = src.reshape(-1)
+    vals = np.zeros(pix.size)
+    hx = 1.0 - fx
+    hy = 1.0 - fy
+    vals[ok] = (flat.take(r0 + c0) * hx * hy + flat.take(r0 + c1) * fx * hy
+                + flat.take(r1 + c0) * hx * fy + flat.take(r1 + c1) * fx * fy)
+    np.put(out, pix, vals)
     return out, owner
 
 
@@ -236,6 +283,13 @@ def rasterize(src: np.ndarray, tris: np.ndarray, inv_affines: np.ndarray) -> tup
     are rasterized in index order and the first (lowest-index) triangle
     containing a pixel wins, which settles pixels on shared edges.  Returns
     (image, owner) where owner[y, x] is the triangle index or -1.
+
+    All triangles are taken in one whole-array pass: bounding boxes are
+    expanded into candidate pixels a chunk of at most ``_RASTER_CHUNK``
+    box pixels (or one larger triangle) at a time, each pixel keeps the
+    least index of the triangles that contain it, and the owned pixels
+    are sampled once.  The result equals the per-triangle loop bit for
+    bit.  Raises ValueError if a vertex is not finite.
     """
     H, W = src.shape
     out = np.zeros((H, W))

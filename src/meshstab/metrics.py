@@ -115,13 +115,44 @@ def ssim_pair(a: GrayFrame, b: GrayFrame) -> float:
 
 
 def video_ssim(frames: Sequence[GrayFrame]) -> SsimReport:
-    """Average SSIM over every adjacent frame pair."""
+    """Average SSIM over every adjacent frame pair.
+
+    Each pair equals ``ssim_pair`` bit for bit: the same checks and the same
+    expressions, except that a frame's blurred mean and square are carried
+    from one pair to the next, so a pair costs 3 convolutions, not 5.
+    """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
-    vals = tuple(
-        ssim_pair(frames[i], frames[i + 1]) for i in range(len(frames) - 1)
-    )
-    return SsimReport(vals, float(np.mean(vals)))
+    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    c1 = (SSIM_K1 * SSIM_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_RANGE) ** 2
+    vals: list[float] = []
+    mu_a = sq_a = None
+    for i in range(len(frames) - 1):
+        a, b = frames[i], frames[i + 1]
+        if (a.width, a.height) != (b.width, b.height):
+            raise ValueError(
+                f"frame sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
+            )
+        if a.width < SSIM_WINDOW or a.height < SSIM_WINDOW:
+            raise ValueError(f"frames must be at least {SSIM_WINDOW} px on a side")
+        pa, pb = a.data, b.data
+        if mu_a is None:
+            mu_a = fftconvolve(pa, win, mode="valid")
+            sq_a = fftconvolve(pa * pa, win, mode="valid")
+        mu_b = fftconvolve(pb, win, mode="valid")
+        sq_b = fftconvolve(pb * pb, win, mode="valid")
+        mu_aa = mu_a * mu_a
+        mu_bb = mu_b * mu_b
+        mu_ab = mu_a * mu_b
+        var_a = sq_a - mu_aa
+        var_b = sq_b - mu_bb
+        cov = fftconvolve(pa * pb, win, mode="valid") - mu_ab
+        num = (2.0 * mu_ab + c1) * (2.0 * cov + c2)
+        den = (mu_aa + mu_bb + c1) * (var_a + var_b + c2)
+        vals.append(float(np.mean(num / den)))
+        mu_a, sq_a = mu_b, sq_b
+    return SsimReport(tuple(vals), float(np.mean(vals)))
 
 
 def jitter_energy(ts: TrajectorySet) -> float:

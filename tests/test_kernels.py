@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstab import kernels
 from meshstab.kernels import _EDGE_TOL, _SRC_TOL
@@ -370,7 +374,162 @@ def test_raster_backends_agree():
     own2 = np.full((H, W), -1, dtype=np.int64)
     kernels._raster_numpy(src, tris_xy, inv, out2, own2)
     assert np.array_equal(own1, own2)
-    assert np.allclose(out1, out2, atol=1e-12)
+    assert np.array_equal(out1, out2)
     out3, own3 = kernels.rasterize(src, tris_xy, inv)
+    assert own3.dtype == np.int64
     assert np.array_equal(own3, own1)
-    assert np.allclose(out3, out1, atol=1e-12)
+    assert np.array_equal(out3, out1)
+
+
+def _identity_affines(k):
+    return np.tile(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (k, 1, 1))
+
+
+def _raster_matches_oracle(src, tris, inv, shape=None):
+    """Rasterize with the kernel and with the loops; both must be equal."""
+    tris = np.asarray(tris, dtype=np.float64)
+    inv = np.asarray(inv, dtype=np.float64)
+    shape = src.shape if shape is None else shape
+    out1 = np.zeros(shape)
+    own1 = np.full(shape, -1, dtype=np.int64)
+    _raster_loops(src, tris, inv, out1, own1)
+    if shape == src.shape:
+        out2, own2 = kernels.rasterize(src, tris, inv)
+    else:
+        out2 = np.zeros(shape)
+        own2 = np.full(shape, -1, dtype=np.int64)
+        kernels._raster_numpy(src, tris, inv, out2, own2)
+    assert np.array_equal(own2, own1)
+    assert np.array_equal(out2, out1)
+    return out2, own2
+
+
+def test_raster_overlap_lowest_index_wins():
+    rng = np.random.default_rng(27)
+    src = rng.uniform(10, 255, (20, 24))
+    tris = [
+        [[2.0, 2.0], [15.0, 3.0], [4.0, 16.0]],
+        [[6.0, 5.0], [22.0, 6.0], [8.0, 18.0]],   # overlaps 0
+        [[1.0, 1.0], [23.0, 1.0], [1.0, 19.0]],   # covers 0 and most of 1
+        [[6.0, 5.0], [22.0, 6.0], [8.0, 18.0]],   # a copy of 1
+    ]
+    inv = _identity_affines(4)
+    inv[:, :, 2] = rng.uniform(-0.5, 0.5, (4, 2))  # a different sample per owner
+    _, own = _raster_matches_oracle(src, tris, inv)
+    assert own[5, 6] == 0 and own[8, 12] == 1 and own[2, 20] == 2
+    assert not (own == 3).any()
+
+
+def test_raster_flipped_and_zero_area_triangles():
+    rng = np.random.default_rng(28)
+    src = rng.uniform(10, 255, (18, 22))
+    tris = [
+        [[3.0, 3.0], [3.0, 14.0], [17.0, 4.0]],    # clockwise: negative area
+        [[2.0, 2.0], [10.0, 6.0], [18.0, 10.0]],   # collinear: zero area
+        [[5.0, 5.0], [5.0, 5.0], [5.0, 5.0]],      # a point
+        [[1.0, 16.0], [20.0, 1.0], [20.0, 16.0]],  # counter-clockwise
+        [[0.0, 0.0], [21.0, 0.0], [21.0, 0.0]],    # two equal vertices
+    ]
+    _, own = _raster_matches_oracle(src, tris, _identity_affines(5))
+    assert (own == 0).sum() > 50 and (own == 3).sum() > 50
+    assert not np.isin(own, [1, 2, 4]).any()
+
+
+def test_raster_triangles_outside_the_frame():
+    rng = np.random.default_rng(29)
+    src = rng.uniform(10, 255, (16, 20))
+    tris = [
+        [[-30.0, -5.0], [8.0, -20.0], [6.0, 9.0]],     # partly left and above
+        [[14.0, 10.0], [45.0, 12.0], [16.0, 40.0]],    # partly right and below
+        [[-9.0, 2.0], [-1.0, 3.0], [-4.0, 12.0]],      # wholly left
+        [[20.5, 2.0], [30.0, 3.0], [25.0, 9.0]],       # wholly right
+        [[2.0, -8.0], [9.0, -0.5], [15.0, -6.0]],      # wholly above
+        [[2.0, 15.5], [9.0, 30.0], [15.0, 22.0]],      # wholly below
+        [[-50.0, -50.0], [80.0, -50.0], [-50.0, 80.0]],  # covers the frame
+    ]
+    _, own = _raster_matches_oracle(src, tris, _identity_affines(7))
+    assert (own == 0).any() and (own == 1).any() and (own == 6).any()
+    assert not np.isin(own, [2, 3, 4, 5]).any()
+    assert (own >= 0).all()
+
+
+def test_raster_samples_outside_src_write_zero():
+    rng = np.random.default_rng(30)
+    src = rng.uniform(10, 255, (16, 20))
+    tris = [[[0.0, 0.0], [19.0, 0.0], [0.0, 15.0]],
+            [[19.0, 0.0], [19.0, 15.0], [0.0, 15.0]]]
+    inv = _identity_affines(2)
+    inv[0, 0, 2] = 6.3     # maps the right of triangle 0 past the src edge
+    inv[1, 1, 2] = -4.7    # maps the top of triangle 1 above the src
+    out, own = _raster_matches_oracle(src, tris, inv)
+    assert (own >= 0).all()
+    assert (out == 0.0).sum() > 20 and (out > 0.0).sum() > 100
+    # a src one pixel wide or high: the bilinear corner index clamps to -1,
+    # which 2-D indexing wraps onto column or row 0
+    for shape in ((16, 1), (1, 20), (1, 1)):
+        small = rng.uniform(10, 255, shape)
+        inv1 = _identity_affines(2)
+        inv1[:, :, :2] *= 0.05
+        out1, _ = _raster_matches_oracle(small, tris, inv1, shape=(16, 20))
+        assert (out1 > 0.0).any()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, kernels._RASTER_CHUNK])
+def test_raster_chunk_edges_keep_the_result(monkeypatch, chunk):
+    rng = np.random.default_rng(31)
+    H, W = 30, 40
+    src = rng.uniform(10, 255, (H, W))
+    # boxes of 1 to about 50 pixels, so a chunk of 7 holds one or several
+    corners = rng.uniform([0, 0], [W - 7, H - 7], (60, 1, 2))
+    small = corners + rng.uniform(0, 1, (60, 3, 2)) * rng.uniform(0.5, 7, (60, 1, 1))
+    big = np.array([[[-1.0, -1.0], [2.0 * W, -1.0], [-1.0, 2.0 * H]]])
+    tris = np.concatenate([small[:30], big, small[30:]])
+    inv = _identity_affines(61)
+    inv[:, :, 2] = rng.uniform(-0.3, 0.3, (61, 2))
+    monkeypatch.setattr(kernels, "_RASTER_CHUNK", chunk)
+    _, own = _raster_matches_oracle(src, tris, inv)
+    assert (own == 30).any() and (own < 30).any() and (own >= 0).all()
+
+
+_coord = st.integers(-24, 72).map(lambda v: v / 4.0)  # quarter pixels hit edges
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    tris=st.lists(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3),
+                  min_size=1, max_size=8),
+    shifts=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+)
+def test_raster_random_meshes_match_oracle(tris, shifts):
+    src = np.arange(12 * 14, dtype=np.float64).reshape(12, 14) % 251.0
+    k = len(tris)
+    inv = _identity_affines(k)
+    inv[:, :, 2] = np.resize(shifts, (k, 2))
+    inv[:, 0, 1] = np.resize(shifts[::-1], k) / 10.0
+    _raster_matches_oracle(src, tris, inv)
+
+
+def test_raster_chunk_bounds_peak_memory():
+    # every box is the whole frame, so expanding all 300 at once would take
+    # gigabytes; a chunk is one triangle's 76800 pixels
+    rng = np.random.default_rng(32)
+    H, W = 240, 320
+    src = rng.uniform(0, 255, (H, W))
+    cover = np.array([[-10.0, -10.0], [3.0 * W, -10.0], [-10.0, 3.0 * H]])
+    tris = cover + rng.uniform(-1, 1, (300, 3, 2))
+    inv = _identity_affines(300)
+    tracemalloc.start()
+    try:
+        out, own = kernels.rasterize(src, tris, inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (own == 0).all()
+    assert np.array_equal(out, src)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_raster_rejects_non_finite_vertices():
+    tris = np.array([[[0.0, 0.0], [np.nan, 1.0], [1.0, 5.0]]])
+    with pytest.raises(ValueError):
+        kernels.rasterize(np.zeros((6, 6)), tris, _identity_affines(1))

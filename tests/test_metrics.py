@@ -7,6 +7,8 @@ from meshstab import metrics
 from meshstab.frames import GrayFrame
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
 
+from conftest import textured_frames
+
 
 def _one(points, frame_count, size=(64, 64)):
     return TrajectorySet(
@@ -112,6 +114,33 @@ def test_video_ssim_means_consecutive_pairs():
     assert repm.mean == (repm.pairs[0] + repm.pairs[1]) / 2.0
     with pytest.raises(ValueError):
         metrics.video_ssim([img])
+
+
+def test_video_ssim_pairs_equal_ssim_pair():
+    rng = np.random.default_rng(13)
+    noise = [GrayFrame.from_array(rng.uniform(0, 255, (40, 52))) for _ in range(5)]
+    textured, _ = textured_frames(rng, 64, 48, frame_count=8, max_shift=3)
+    for frames in (noise, textured, textured[:2]):
+        rep = metrics.video_ssim(frames)
+        want = tuple(metrics.ssim_pair(frames[i], frames[i + 1])
+                     for i in range(len(frames) - 1))
+        assert rep.pairs == want
+        assert all(type(v) is float for v in rep.pairs)
+        assert type(rep.mean) is float
+
+
+def test_video_ssim_input_validation():
+    rng = np.random.default_rng(14)
+    img = GrayFrame.from_array(rng.uniform(0, 255, (48, 64)))
+    for frames in ([], [img]):
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            metrics.video_ssim(frames)
+    small = GrayFrame.from_array(rng.uniform(0, 255, (32, 32)))
+    with pytest.raises(ValueError, match="sizes differ"):
+        metrics.video_ssim([img, img, img, small])
+    tiny = GrayFrame.from_array(np.zeros((8, 12)))
+    with pytest.raises(ValueError, match="at least 11 px"):
+        metrics.video_ssim([tiny, tiny, tiny])
 
 
 def test_jitter_energy():
