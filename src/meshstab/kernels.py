@@ -6,6 +6,14 @@ render.  Each is vectorized here; the test suite keeps a plain-loop version
 of each as its reference.  ``BACKEND`` names the implementation and is
 recorded by the benchmark.
 
+The flow refinement samples each point's k x k window from one gathered
+(k+1) x (k+1) pixel patch.  A window's columns share their x fractions and
+its rows their y fractions, so these are formed per row and column, not per
+sample, and the products run over the patches laid end to end, 32 points
+at a time.  A ``Windows`` store lets a later call on the same image reuse
+the template windows sampled at the same points.  Both give the same bits
+as sampling every window pixel on its own.
+
 The render takes all triangles of a frame in one pass.  Their bounding
 boxes are expanded into candidate pixels in triangle order, at most
 ``_RASTER_CHUNK`` box pixels at a time (or one larger triangle), so the
@@ -71,28 +79,128 @@ def _corner_numpy(gx, gy, radius):
 
 # --- iterative translational flow refinement at one pyramid level ---
 
+# points whose windows are sampled at once: each temporary then stays under
+# 128 KiB.  On video_track (2-core x86-64) tracking took about 30 ms/frame
+# this way and 44-53 ms/frame with a whole level sampled at once.
+_LK_CHUNK = 32
 
-def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    off = np.arange(-radius, radius + 1, dtype=np.float64)
-    ox, oy = np.meshgrid(off, off)
-    return ox.ravel(), oy.ravel()
+
+def _axis_weights(p, radius):
+    """Bilinear fractions of the window samples p + o, o = -radius..radius.
+
+    Sample o is weighted between pixels floor(p) + o and floor(p) + o + 1,
+    so a whole window row (column) lies in one (k+1)-pixel span starting at
+    floor(p) - radius.  Returns that first pixel and the fractions f, one
+    row per point; the weights are 1 - f and f.  f = (p + o) - (floor(p) + o)
+    is exact and equals the per-sample fraction, except where p + o rounds
+    up onto an integer: there f is 1.0, so the sample takes all of the next
+    pixel and the other pixel adds an exact zero.  Each row has k+1
+    entries; the last, for o = radius + 1, pads the row to the patch width
+    and is never used.
+    """
+    off = np.arange(-radius, radius + 2, dtype=np.float64)
+    base = np.floor(p)
+    return base.astype(np.intp) - radius, (p[:, None] + off) - (base[:, None] + off)
 
 
-def _bilinear_np(img, xs, ys):
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    fx = xs - x0
-    fy = ys - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    # flat-index gathers; the products keep the association order of
-    # v * wx * wy, so the result is bit-identical to 2-D indexing
-    flat = img.ravel()
-    i = y0 * img.shape[1] + x0
-    return (flat.take(i) * gx * gy
-            + flat.take(i + 1) * fx * gy
-            + flat.take(i + img.shape[1]) * gx * fy
-            + flat.take(i + img.shape[1] + 1) * fx * fy)
+def _sample(win, x0, y0, fx, fy):
+    """Bilinear samples over each point's k x k window.
+
+    `win` is the image's (k+1) x (k+1) sliding-window view, so one gather
+    takes each point's pixel patch.  Every sample is (v * wx) * wy summed in
+    the order top-left, top-right, bottom-left, bottom-right, as a
+    per-sample gather computes it, so the result is the same bit for bit.
+    The patches are laid end to end and every product runs over the whole
+    flat array: a pixel's right neighbour is the next element and the one
+    below it s = k+1 further on.  The padding column and row pick up
+    neighbours from the next row or patch and are dropped at the end.
+    """
+    n, s = fx.shape
+    k = s - 1
+    left = win[y0, x0].reshape(n * s * s)
+    wx = np.tile(fx, s).reshape(-1)             # fx of every patch pixel
+    right = np.empty_like(left)
+    right[-1:] = 0.0
+    np.multiply(left[1:], wx[:-1], out=right[:-1])
+    np.subtract(1.0, wx, out=wx)
+    left *= wx
+    bottom = np.repeat(fy.reshape(-1), s)[:-s]  # fy of every patch pixel
+    top = 1.0 - bottom
+    out = np.empty_like(left)
+    o = out[:-s]
+    np.multiply(left[:-s], top, out=o)
+    o += np.multiply(right[:-s], top, out=top)
+    o += np.multiply(left[s:], bottom, out=wx[:-s])
+    o += np.multiply(right[s:], bottom, out=bottom)
+    return out.reshape(n, s, s)[:, :k, :k].reshape(n, k * k)
+
+
+class Windows:
+    """Template windows sampled from one image, kept for a later call on it.
+
+    Passed to ``lk_refine_level`` as ``windows=``, a store first lends its
+    rows: a point whose coordinates equal, bit for bit, a point it sampled
+    from the same ``prev`` array reuses that template and its gradient
+    windows; every other point is sampled.  The store then holds the
+    windows of that call.  Both passes of a frame pair sample the frame
+    shared with the next pair at the same points, so a tracker keeps the
+    backward pass's store for the next forward pass.
+    """
+
+    _KEY = np.dtype((np.void, 16))  # an (x, y) pair of float64, compared as bytes
+
+    def __init__(self):
+        self.img = None
+        self.radius = -1
+        self.keys = np.empty(0, dtype=self._KEY)  # sorted
+        self.rows = np.empty(0, dtype=np.intp)    # row of each sorted key
+        self.tmpl = self.tgx = self.tgy = None
+
+    def _find(self, img, pts, radius):
+        """Stored row of each point, or -1 where none matches."""
+        if self.img is not img or self.radius != radius or not self.keys.size:
+            return np.full(pts.shape[0], -1, dtype=np.intp)
+        keys = np.ascontiguousarray(pts).view(self._KEY).ravel()
+        j = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[j] == keys, self.rows[j], -1)
+
+    def _keep(self, img, pts, radius, tmpl, tgx, tgy):
+        keys = np.ascontiguousarray(pts).view(self._KEY).ravel()
+        self.rows = np.argsort(keys, kind="stable")
+        self.keys = keys[self.rows]
+        self.img, self.radius = img, radius
+        self.tmpl, self.tgx, self.tgy = tmpl, tgx, tgy
+
+
+def _windows(img, k):
+    return np.lib.stride_tricks.sliding_window_view(img, (k + 1, k + 1))
+
+
+def _chunks(n):
+    return (slice(lo, lo + _LK_CHUNK) for lo in range(0, n, _LK_CHUNK))
+
+
+def _templates(prev, gx, gy, pts, radius, windows):
+    """Template and gradient windows of `prev` around each point."""
+    n = pts.shape[0]
+    k = 2 * radius + 1
+    out = [np.empty((n, k * k)) for _ in range(3)]
+    row = np.full(n, -1, dtype=np.intp) if windows is None else windows._find(prev, pts, radius)
+    old = np.flatnonzero(row >= 0)
+    if old.size:
+        for w, a in zip(out, (windows.tmpl, windows.tgx, windows.tgy)):
+            w[old] = a[row[old]]
+    new = np.flatnonzero(row < 0)
+    x0, fx = _axis_weights(pts[new, 0], radius)
+    y0, fy = _axis_weights(pts[new, 1], radius)
+    # an image narrower than a patch has no inside point and no window view
+    wins = [_windows(img, k) for img in (prev, gx, gy)] if new.size else []
+    for c in _chunks(new.size):
+        for w, win in zip(out, wins):
+            w[new[c]] = _sample(win, x0[c], y0[c], fx[c], fy[c])
+    if windows is not None:
+        windows._keep(prev, pts, radius, *out)
+    return out
 
 
 def _rowdot(a, b):
@@ -101,10 +209,9 @@ def _rowdot(a, b):
 
 
 def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
-              min_eig_thr, strict):
+              min_eig_thr, strict, windows=None):
     H, W = prev.shape
     k = 2 * radius + 1
-    ox, oy = _window_grid(radius)
 
     def outside(x, y):
         return ((x - radius < 0.0) | (x + radius > W - 2.0)
@@ -115,11 +222,7 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
     inside = ~outside(px, py)
     dropped = [idx[~inside]]
     idx, px, py = idx[inside], px[inside], py[inside]
-    xs = px[:, None] + ox
-    ys = py[:, None] + oy
-    tmpl = _bilinear_np(prev, xs, ys)
-    tgx = _bilinear_np(gx, xs, ys)
-    tgy = _bilinear_np(gy, xs, ys)
+    tmpl, tgx, tgy = _templates(prev, gx, gy, pts[idx], radius, windows)
     sxx = _rowdot(tgx, tgx)
     sxy = _rowdot(tgx, tgy)
     syy = _rowdot(tgy, tgy)
@@ -129,10 +232,11 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
     good = ~(min_eig / (k * k) < min_eig_thr) & ~(det <= 0.0)
     dropped.append(idx[~good])
     idx, px, py = idx[good], px[good], py[good]
-    tmpl, tgx, tgy = tmpl[good], tgx[good], tgy[good]
+    rows = np.flatnonzero(good)  # each point's windows in tmpl, tgx, tgy
     sxx, sxy, syy, det = sxx[good], sxy[good], syy[good], det[good]
 
     d = disp[idx]
+    nxt_win = _windows(nxt, k) if idx.size else None
     left = np.zeros(idx.size, dtype=bool)
     act = np.arange(idx.size)  # still iterating: not converged, not left
     for _ in range(max_iter):
@@ -143,9 +247,15 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
         out = outside(qx, qy)
         left[act[out]] = True
         act, qx, qy = act[~out], qx[~out], qy[~out]
-        diff = tmpl[act] - _bilinear_np(nxt, qx[:, None] + ox, qy[:, None] + oy)
-        b1 = _rowdot(diff, tgx[act])
-        b2 = _rowdot(diff, tgy[act])
+        x0, fx = _axis_weights(qx, radius)
+        y0, fy = _axis_weights(qy, radius)
+        b1 = np.empty(act.size)
+        b2 = np.empty(act.size)
+        for c in _chunks(act.size):
+            r = rows[act[c]]
+            diff = tmpl[r] - _sample(nxt_win, x0[c], y0[c], fx[c], fy[c])
+            b1[c] = _rowdot(diff, tgx[r])
+            b2[c] = _rowdot(diff, tgy[r])
         ux = (syy[act] * b1 - sxy[act] * b2) / det[act]
         uy = (sxx[act] * b2 - sxy[act] * b1) / det[act]
         d[act, 0] += ux
@@ -261,7 +371,7 @@ def corner_min_eig(img: np.ndarray, radius: int = 3) -> np.ndarray:
 
 
 def lk_refine_level(prev, nxt, gx, gy, pts, disp, status, radius, max_iter,
-                    eps, min_eig_thr, strict=True):
+                    eps, min_eig_thr, strict=True, *, windows=None):
     """Refine per-point displacements at one pyramid level (in place).
 
     pts are level-scaled positions in `prev`; disp holds the current
@@ -270,9 +380,15 @@ def lk_refine_level(prev, nxt, gx, gy, pts, disp, status, radius, max_iter,
     their displacement; with strict=False (coarse pyramid levels) they keep
     their status so a finer level can still judge them, and a point that
     left the frame keeps its last iterate.
+
+    windows: an optional ``Windows`` store.  Points it sampled from this
+    same `prev` array at bit-equal coordinates reuse its windows; on
+    return it holds this call's windows.  The result is the same with or
+    without it.
     """
     return _lk_numpy(prev, nxt, gx, gy, pts, disp, status,
-                     radius, max_iter, eps, min_eig_thr, 1 if strict else 0)
+                     radius, max_iter, eps, min_eig_thr, 1 if strict else 0,
+                     windows)
 
 
 def rasterize(src: np.ndarray, tris: np.ndarray, inv_affines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

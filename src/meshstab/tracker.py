@@ -58,6 +58,16 @@ class TrackerConfig:
             raise ValueError("pyramid_levels must be >= 1")
         if not 0.0 < self.global_thresh_ratio < 1.0:
             raise ValueError("global_thresh_ratio must be in (0, 1)")
+        # below these bounds tracking runs without complaint but is broken:
+        # no grid cell to top up, no corner budget, no structure-tensor
+        # window, no refinement step, or a forward-backward bound that no
+        # point meets
+        for name in ("grid_cols", "grid_rows", "corner_target", "response_radius",
+                     "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.fb_error_max > 0.0:
+            raise ValueError(f"fb_error_max must be > 0, got {self.fb_error_max}")
 
 
 def _check_frame(frame: GrayFrame) -> None:
@@ -157,6 +167,7 @@ def _track_direction(
     grad_pyr: list[tuple[np.ndarray, np.ndarray]],
     pts: np.ndarray,
     cfg: TrackerConfig,
+    windows: list[kernels.Windows] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     levels = _usable_levels(src_pyr[0].shape, cfg)
     n = pts.shape[0]
@@ -173,10 +184,34 @@ def _track_direction(
             np.ascontiguousarray(pts * scale), disp, status,
             radius, cfg.max_iterations, cfg.convergence_px,
             cfg.min_eig_threshold, strict=(lv == 0),
+            windows=None if windows is None else windows[lv],
         )
         if pos != len(levels) - 1:
             disp *= 2.0
     return disp, status
+
+
+class FrameCache:
+    """What tracking one frame pair leaves for the next pair.
+
+    The backward pass of pair (t-1, t) samples frame t at the tracked
+    points; the forward pass of pair (t, t+1) samples it again at the
+    survivors, which are the same coordinates.  The cache holds frame t,
+    its pyramid and gradients, and one ``kernels.Windows`` store per level,
+    so frame t is built once and each surviving window is sampled once.
+    """
+
+    def __init__(self):
+        self.frame: GrayFrame | None = None
+        self.cfg: TrackerConfig | None = None
+        self.pyr: list[np.ndarray] = []
+        self.grad: list[tuple[np.ndarray, np.ndarray]] = []
+        self.windows: list[kernels.Windows] | None = None
+
+
+def _pyramid_and_gradients(frame: GrayFrame, cfg: TrackerConfig):
+    pyr = _build_pyramid(frame.data, cfg.pyramid_levels)
+    return pyr, [kernels.gradients(p) for p in pyr]
 
 
 def track_frame_pair(
@@ -184,8 +219,15 @@ def track_frame_pair(
     nxt: GrayFrame,
     points: list[np.ndarray],
     cfg: TrackerConfig = TrackerConfig(),
+    *,
+    reuse: FrameCache | None = None,
 ) -> list[np.ndarray | None]:
-    """Track points from `prev` into `nxt`; lost points come back as None."""
+    """Track points from `prev` into `nxt`; lost points come back as None.
+
+    With `reuse`, a cache of the previous call whose `nxt` was this
+    `prev` lends its pyramid and windows, and the cache is left holding
+    `nxt`'s for the next call.  The result is the same with or without it.
+    """
     _check_frame(prev)
     if (prev.width, prev.height) != (nxt.width, nxt.height):
         raise ValueError(
@@ -194,28 +236,29 @@ def track_frame_pair(
     if not points:
         return []
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    levels = cfg.pyramid_levels
-    prev_pyr = _build_pyramid(prev.data, levels)
-    next_pyr = _build_pyramid(nxt.data, levels)
-    prev_grad = [kernels.gradients(p) for p in prev_pyr]
-    next_grad = [kernels.gradients(p) for p in next_pyr]
+    if reuse is not None and reuse.frame is prev and reuse.cfg == cfg:
+        prev_pyr, prev_grad, prev_win = reuse.pyr, reuse.grad, reuse.windows
+    else:
+        prev_pyr, prev_grad = _pyramid_and_gradients(prev, cfg)
+        prev_win = None
+    next_pyr, next_grad = _pyramid_and_gradients(nxt, cfg)
+    next_win = None if reuse is None else [kernels.Windows() for _ in next_pyr]
 
-    disp, status = _track_direction(prev_pyr, next_pyr, prev_grad, pts, cfg)
+    disp, status = _track_direction(prev_pyr, next_pyr, prev_grad, pts, cfg, prev_win)
     fwd = pts + disp
 
-    back_disp, back_status = _track_direction(next_pyr, prev_pyr, next_grad, fwd, cfg)
+    back_disp, back_status = _track_direction(next_pyr, prev_pyr, next_grad, fwd, cfg, next_win)
     round_trip = fwd + back_disp
     fb_err = np.hypot(*(round_trip - pts).T)
+    if reuse is not None:
+        reuse.frame, reuse.cfg = nxt, cfg
+        reuse.pyr, reuse.grad, reuse.windows = next_pyr, next_grad, next_win
 
     w, h = prev.width, prev.height
-    out: list[np.ndarray | None] = []
-    for i in range(pts.shape[0]):
-        q = fwd[i]
-        ok = (status[i] == 1 and back_status[i] == 1
-              and fb_err[i] <= cfg.fb_error_max
-              and 0.0 <= q[0] <= w - 1 and 0.0 <= q[1] <= h - 1)
-        out.append(q.copy() if ok else None)
-    return out
+    qx, qy = fwd.T
+    ok = ((status == 1) & (back_status == 1) & (fb_err <= cfg.fb_error_max)
+          & (0.0 <= qx) & (qx <= w - 1) & (0.0 <= qy) & (qy <= h - 1))
+    return [q if keep else None for q, keep in zip(fwd, ok.tolist())]
 
 
 def build_trajectories(
@@ -234,15 +277,28 @@ def build_trajectories(
     w, h = frames[0].width, frames[0].height
 
     next_id = 0
+    reuse = FrameCache()
     live: list[dict] = []
     done: list[dict] = []
 
     def start_tracks(t: int, corners: list[np.ndarray]) -> None:
+        # a corner is skipped if it lies too close to a live point or to an
+        # earlier corner of the same batch that was kept
         nonlocal next_id
-        for c in corners:
-            if any(np.hypot(*(c - tr["pts"][-1])) < cfg.min_new_corner_dist for tr in live):
+        if not corners:
+            return
+        c = np.asarray(corners)
+        if live:
+            p = np.array([tr["pts"][-1] for tr in live])
+            near = np.hypot(c[:, None, 0] - p[:, 0], c[:, None, 1] - p[:, 1])
+            c = c[~(near < cfg.min_new_corner_dist).any(axis=1)]
+        close = np.hypot(c[:, None, 0] - c[:, 0], c[:, None, 1] - c[:, 1]) < cfg.min_new_corner_dist
+        skip = np.zeros(len(c), dtype=bool)
+        for i in range(len(c)):
+            if skip[i]:
                 continue
-            live.append({"id": next_id, "start": t, "pts": [c]})
+            skip[i + 1:] |= close[i, i + 1:]
+            live.append({"id": next_id, "start": t, "pts": [c[i]]})
             next_id += 1
 
     start_tracks(0, detect_corners(frames[0], cfg))
@@ -250,7 +306,7 @@ def build_trajectories(
     for t in range(1, len(frames)):
         if live:
             tracked = track_frame_pair(
-                frames[t - 1], frames[t], [tr["pts"][-1] for tr in live], cfg
+                frames[t - 1], frames[t], [tr["pts"][-1] for tr in live], cfg, reuse=reuse
             )
             survivors = []
             for tr, q in zip(live, tracked):

@@ -102,6 +102,21 @@ def test_bad_config_value_exits_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("setting", [
+    "tracker_max_iterations=0", "tracker_fb_error_max=-1", "tracker_response_radius=0",
+    "tracker_corner_target=0", "tracker_grid_cols=0",
+])
+def test_track_rejects_tracker_values_that_track_nothing(tmp_path, setting, caplog):
+    rng = np.random.default_rng(41)
+    frames, _ = textured_frames(rng, width=64, height=48, frame_count=4, max_shift=1)
+    save_frame_dir(frames, tmp_path / "in")
+    out = tmp_path / "t.traj"
+    code = cli.main(["track", str(tmp_path / "in"), "--out", str(out), "--set", setting])
+    assert code == cli.EXIT_PARSE
+    assert setting.split("=")[0].removeprefix("tracker_") in caplog.text
+    assert not out.exists()
+
+
 def _synth(tmp_path, name, seed=3, extra=()):
     out = tmp_path / name
     argv = ["synth", "--width", "160", "--height", "120", "--frames", "45",

@@ -40,6 +40,28 @@ def _corner_loops(gx, gy, radius):
     return out
 
 
+def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    off = np.arange(-radius, radius + 1, dtype=np.float64)
+    ox, oy = np.meshgrid(off, off)
+    return ox.ravel(), oy.ravel()
+
+
+def _bilinear_np(img, xs, ys):
+    """Per-sample bilinear gather: the sampler the window kernel replaced."""
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    fx = xs - x0
+    fy = ys - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    flat = img.ravel()
+    i = y0 * img.shape[1] + x0
+    return (flat.take(i) * gx * gy
+            + flat.take(i + 1) * fx * gy
+            + flat.take(i + img.shape[1]) * gx * fy
+            + flat.take(i + img.shape[1] + 1) * fx * fy)
+
+
 def _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
               min_eig_thr, strict):
     H, W = prev.shape
@@ -327,6 +349,122 @@ def test_lk_exit_paths_match_oracle(strict):
         assert d2[5, 0] < -0.5  # the last iterate, past the edge
 
 
+def _window_samples(img, pts, radius):
+    x0, fx = kernels._axis_weights(pts[:, 0], radius)
+    y0, fy = kernels._axis_weights(pts[:, 1], radius)
+    return kernels._sample(kernels._windows(img, 2 * radius + 1), x0, y0, fx, fy)
+
+
+def test_window_sampler_matches_per_sample_gather():
+    rng = np.random.default_rng(27)
+    img = rng.normal(0.0, 40.0, (150, 170))  # signed, like a gradient image
+    radius = 10
+    below = np.nextafter(121.0, 0.0)
+    # px + offset rounds up onto an integer: the sample lies on pixel 131
+    assert below + 10 == 131.0 and np.floor(below) == 120.0
+    fixed = np.array([[below, 60.0], [40.25, below], [below, below],
+                      [10.0, 10.0], [158.0, 138.0], [10.0 + 1e-12, 137.9999999]])
+    # fractions next to an integer make more rounding cases
+    near = rng.integers(12, 130, (200, 2)) + rng.choice([0.0, 1e-15, 1e-13, 0.5, 1 - 1e-15], (200, 2))
+    pts = np.vstack([fixed, rng.uniform(10.0, 137.0, (300, 2)), near])
+    ox, oy = _window_grid(radius)
+    want = _bilinear_np(img, pts[:, :1] + ox, pts[:, 1:] + oy)
+    assert np.array_equal(_window_samples(img, pts, radius), want)
+
+
+def _lk_run(prev, nxt, pts, status=None, windows=None, strict=True):
+    gx, gy = kernels.gradients(prev)
+    disp = np.zeros_like(pts)
+    status = np.ones(len(pts), dtype=np.uint8) if status is None else status.copy()
+    kernels.lk_refine_level(prev, nxt, gx, gy, pts, disp, status, 7, 30, 0.01,
+                            1e-4, strict, windows=windows)
+    return disp, status
+
+
+def test_lk_reused_windows_are_bit_identical():
+    rng = np.random.default_rng(28)
+    world = world_texture(rng, 80, 60)
+    prev = world[:, :76].copy()
+    nxt = world[:, 1:77].copy()
+    stored = rng.uniform([8.0, 8.0], [66.0, 50.0], (30, 2))
+    stored[0] = [2.0, 2.0]  # outside: never sampled, so never lent
+    store = kernels.Windows()
+    _lk_run(prev, nxt, stored, windows=store)
+    assert store.img is prev and store.keys.size == 29
+    # shuffled survivors, a repeated point, a near miss and new points
+    pts = np.vstack([stored[[5, 0, 3, 3, 17]], stored[9] + [1e-12, 0.0],
+                     rng.uniform([8.0, 8.0], [66.0, 50.0], (6, 2)), stored[20:]])
+    for strict in (True, False):
+        want = _lk_run(prev, nxt, pts, strict=strict)
+        s = kernels.Windows()
+        _lk_run(prev, nxt, stored, windows=s)
+        got = _lk_run(prev, nxt, pts, windows=s, strict=strict)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the store now holds this call's windows
+        assert s.keys.size == len(pts) - 1
+
+
+def test_lk_windows_of_another_image_are_not_lent():
+    rng = np.random.default_rng(29)
+    world = world_texture(rng, 80, 60)
+    prev = world[:, :76].copy()
+    nxt = world[:, 1:77].copy()
+    pts = rng.uniform([8.0, 8.0], [66.0, 50.0], (12, 2))
+    want = _lk_run(prev, nxt, pts)
+    store = kernels.Windows()
+    _lk_run(prev.copy(), nxt, pts, windows=store)  # equal pixels, other array
+    store.tmpl[:] = 0.0  # lending these rows would change the result
+    got = _lk_run(prev, nxt, pts, windows=store)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # the same rows sampled from `prev` itself are lent
+    _lk_run(prev, nxt, pts, windows=store)
+    store.tmpl[:] = 0.0
+    assert not np.array_equal(_lk_run(prev, nxt, pts, windows=store)[0], want[0])
+
+
+def test_lk_batch_equals_one_point_at_a_time():
+    # more points than one sampling chunk, so rows cross chunk edges
+    rng = np.random.default_rng(31)
+    world = world_texture(rng, 80, 60)
+    prev = world[:, :76].copy()
+    nxt = world[:, 1:77].copy()
+    pts = rng.uniform([4.0, 4.0], [70.0, 54.0], (3 * kernels._LK_CHUNK + 5, 2))
+    for strict in (True, False):
+        disp, st = _lk_run(prev, nxt, pts, strict=strict)
+        assert 0 < st.sum() < len(pts) if strict else st.all()
+        for i in range(len(pts)):
+            d1, s1 = _lk_run(prev, nxt, pts[i:i + 1], strict=strict)
+            assert np.array_equal(d1[0], disp[i]) and s1[0] == st[i]
+
+
+@pytest.mark.parametrize("case", ["no points", "all status 0", "all outside",
+                                  "frame smaller than a window"])
+@pytest.mark.parametrize("reuse", [False, True])
+def test_lk_degenerate_calls(case, reuse):
+    rng = np.random.default_rng(30)
+    world = world_texture(rng, 80, 60)
+    prev = world[:, :76].copy()
+    nxt = world[:, 1:77].copy()
+    if case == "frame smaller than a window":
+        prev = nxt = world[:10, :12].copy()
+    pts = {"no points": np.empty((0, 2)),
+           "all status 0": rng.uniform([10.0, 10.0], [60.0, 45.0], (4, 2)),
+           "all outside": np.array([[2.0, 30.0], [70.0, 30.0], [30.0, 1.0], [30.0, 55.0]]),
+           "frame smaller than a window": np.array([[5.0, 5.0], [6.5, 4.0]])}[case]
+    status = np.zeros(len(pts), dtype=np.uint8) if case == "all status 0" else None
+    store = kernels.Windows() if reuse else None
+    for strict in (True, False):
+        for _ in range(2):  # the second call meets the store the first one left
+            disp, st = _lk_run(prev, nxt, pts, status=status, windows=store, strict=strict)
+            assert np.array_equal(disp, np.zeros_like(pts))
+            if case in ("all outside", "frame smaller than a window") and strict:
+                assert not st.any()
+            else:
+                assert np.array_equal(st, np.ones(len(pts)) if status is None else status)
+    if reuse:
+        assert store.keys.size == 0
+
+
 def test_tracker_matches_loop_oracle(monkeypatch):
     rng = np.random.default_rng(26)
     frames, _ = textured_frames(rng, 64, 48, frame_count=5, max_shift=2)
@@ -334,7 +472,7 @@ def test_tracker_matches_loop_oracle(monkeypatch):
     fast = build_trajectories(frames, cfg)
 
     def loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
-              min_eig_thr, strict=True):
+              min_eig_thr, strict=True, *, windows=None):
         return _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius,
                          max_iter, eps, min_eig_thr, 1 if strict else 0)
 

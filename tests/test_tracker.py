@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from meshstab import kernels, tracker
 from meshstab.frames import GrayFrame
 from meshstab.tracker import (
     TrackerConfig,
@@ -179,3 +180,118 @@ def test_tracker_determinism_and_bounds():
     for tr in a.trajectories:
         assert tr.points[:, 0].min() >= 0 and tr.points[:, 0].max() <= 63
         assert tr.points[:, 1].min() >= 0 and tr.points[:, 1].max() <= 47
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 0), ("fb_error_max", -1.0), ("fb_error_max", 0.0),
+    ("fb_error_max", float("nan")), ("response_radius", 0), ("corner_target", 0),
+    ("grid_cols", 0), ("grid_rows", 0),
+])
+def test_config_rejects_values_that_track_nothing(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrackerConfig(**{field: value})
+
+
+def _same_tracks(a, b):
+    assert [(t.id, t.start_frame) for t in a.trajectories] == \
+        [(t.id, t.start_frame) for t in b.trajectories]
+    for p, q in zip(a.trajectories, b.trajectories):
+        assert np.array_equal(p.points, q.points)
+
+
+def _reused_and_fresh(monkeypatch, frames, cfg=TrackerConfig()):
+    """Track with the frame cache and again with every window recomputed.
+
+    Returns the tracks and, per frame pair, whether the cache lent the
+    previous pair's frame.
+    """
+    original = tracker.track_frame_pair
+    lent = []
+
+    def spy(prev, nxt, points, cfg, *, reuse=None):
+        lent.append(reuse is not None and reuse.frame is prev)
+        return original(prev, nxt, points, cfg, reuse=reuse)
+
+    def no_reuse(prev, nxt, points, cfg, *, reuse=None):
+        return original(prev, nxt, points, cfg)
+
+    monkeypatch.setattr(tracker, "track_frame_pair", spy)
+    reused = build_trajectories(frames, cfg)
+    monkeypatch.setattr(tracker, "track_frame_pair", no_reuse)
+    fresh = build_trajectories(frames, cfg)
+    _same_tracks(reused, fresh)
+    return reused, lent
+
+
+def _pan(rng, frames=10, step=3, width=64, height=48):
+    world = world_texture(rng, width + step * frames, height)
+    return [GrayFrame.from_array(world[:, step * t: step * t + width]) for t in range(frames)]
+
+
+def test_reuse_through_redetection_and_losses(monkeypatch):
+    ts, lent = _reused_and_fresh(monkeypatch, _pan(np.random.default_rng(41)))
+    starts = {t.start_frame for t in ts.trajectories}
+    ends = {t.start_frame + len(t) for t in ts.trajectories}
+    assert len(starts) > 2 and min(ends) < 10  # re-detected, and lost at the edge
+    assert lent == [False] + [True] * 8
+
+
+def test_reuse_resets_after_every_point_is_lost(monkeypatch):
+    rng = np.random.default_rng(42)
+    frames, _ = textured_frames(rng, 64, 48, frame_count=10, max_shift=1)
+    frames[5] = GrayFrame.from_array(np.full((48, 64), 90.0))
+    ts, lent = _reused_and_fresh(monkeypatch, frames)
+    # nothing is tracked into, across or out of the flat frame
+    assert all(t.start_frame + len(t) <= 5 or t.start_frame >= 6 for t in ts.trajectories)
+    assert 0 in {t.start_frame for t in ts.trajectories}
+    assert 6 in {t.start_frame for t in ts.trajectories}
+    # pairs 0-1 .. 4-5, then 6-7 .. 8-9: the cache misses once after the gap
+    assert lent == [False, True, True, True, True, False, True, True]
+
+
+def test_flat_clip_tracks_nothing(monkeypatch):
+    frames = [GrayFrame.from_array(np.full((48, 64), 90.0))] * 5
+    ts, lent = _reused_and_fresh(monkeypatch, frames)
+    assert len(ts) == 0 and lent == []
+
+
+def test_tracker_calls_both_traced_seams(monkeypatch):
+    frames = _pan(np.random.default_rng(43), frames=6)
+    plain = build_trajectories(frames)
+    calls = {"pair": 0, "lk": 0}
+    pair, lk = tracker.track_frame_pair, kernels.lk_refine_level
+
+    def counted_pair(*args, **kwargs):
+        calls["pair"] += 1
+        out = pair(*args, **kwargs)
+        assert isinstance(out, list) and len(out) == len(args[2])
+        return out
+
+    def counted_lk(*args, **kwargs):
+        calls["lk"] += 1
+        assert args[4].ndim == 2 and args[4].shape[1] == 2  # pts, 5th positional
+        return lk(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "track_frame_pair", counted_pair)
+    monkeypatch.setattr(kernels, "lk_refine_level", counted_lk)
+    _same_tracks(build_trajectories(frames), plain)
+    assert calls["pair"] == 5
+    assert calls["lk"] == 2 * 2 * calls["pair"]  # two passes, two usable levels
+
+
+def test_new_corners_keep_their_distance():
+    # a corner is kept only if it is far from every live point and from
+    # every corner kept before it in the same detection
+    cfg = TrackerConfig()
+    rng = np.random.default_rng(44)
+    world = world_texture(rng, 64 + 24, 48, smooth=1.0)
+    frames = [GrayFrame.from_array(world[:, 3 * t: 3 * t + 64]) for t in range(8)]
+    ts = build_trajectories(frames, cfg)
+    by_id = sorted(ts.trajectories, key=lambda t: t.id)
+    assert len({t.start_frame for t in by_id}) > 2
+    for t in by_id:
+        s = t.start_frame
+        for o in by_id:
+            if o.id >= t.id or not o.start_frame <= s < o.start_frame + len(o):
+                continue
+            assert np.hypot(*(t.points[0] - o.points[s - o.start_frame])) >= cfg.min_new_corner_dist
