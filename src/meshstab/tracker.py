@@ -68,6 +68,18 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.fb_error_max > 0.0:
             raise ValueError(f"fb_error_max must be > 0, got {self.fb_error_max}")
+        # NaN passes every comparison it is meant to fail: a NaN distance
+        # lets new corners land on live points, a NaN step never converges
+        for name in ("min_new_corner_dist", "convergence_px", "cell_relax",
+                     "min_eig_threshold"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.redetect_fraction <= 1.0:
+            raise ValueError(
+                f"redetect_fraction must be in [0, 1], got {self.redetect_fraction}"
+            )
+        if self.min_per_cell < 0:
+            raise ValueError(f"min_per_cell must be >= 0, got {self.min_per_cell}")
 
 
 def _check_frame(frame: GrayFrame) -> None:

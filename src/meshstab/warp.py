@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -323,35 +324,85 @@ def apply_crop(frame: GrayFrame, rect: tuple[int, int, int, int]) -> GrayFrame:
 
 def save_warpfield(field: WarpField, path: str | Path) -> None:
     w, h = field.frame_size
+    tri_line = "{!r} {!r} {!r} {!r} {!r} {!r} {} {} {}".format
+    vert_line = "{!r} {!r} {!r} {!r}".format
     lines = [f"{len(field.frames)} {w} {h}"]
     for fw in field.frames:
         lines.append(
             f"{fw.triangles.shape[0]} {fw.src.shape[0]} {field.n_controls}"
         )
-        for a, tri in zip(fw.affines, fw.triangles):
-            coefs = " ".join(repr(float(v)) for v in a.ravel())
-            lines.append(f"{coefs} {tri[0]} {tri[1]} {tri[2]}")
-        for o, s in zip(fw.src, fw.dst):
-            lines.append(
-                f"{float(o[0])!r} {float(o[1])!r} "
-                f"{float(s[0])!r} {float(s[1])!r}"
-            )
+        lines += [tri_line(*a, *t) for a, t in
+                  zip(fw.affines.reshape(-1, 6).tolist(), fw.triangles.tolist())]
+        lines += [vert_line(*o, *s) for o, s in zip(fw.src.tolist(), fw.dst.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# A frame's triangle block and vertex block are each checked and converted
+# at once.  Only when that fails are the block's lines walked, one by one,
+# to raise the first bad line's error; a block with none ran out of lines.
+
+
+def _triangle_block(rows: list[list[str]], nums: list[int], ntri: int, nvert: int,
+                    n_lines: int) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        if len(rows) == ntri and not set(map(len, rows)) - {9}:
+            coefs = [float(v) for parts in rows for v in parts[:6]]
+            corners = [int(v) for parts in rows for v in parts[6:]]
+            if not corners or (min(corners) >= 0 and max(corners) < nvert):
+                return (np.array(coefs, dtype=np.float64).reshape(ntri, 2, 3),
+                        np.array(corners, dtype=np.int64).reshape(ntri, 3))
+    except ValueError:
+        pass
+    for parts, ln in zip(rows, nums):
+        if len(parts) != 9:
+            raise ParseError("triangle line needs 6 coefficients + 3 indices", line=ln)
+        try:
+            [float(v) for v in parts[:6]]
+            corners = [int(v) for v in parts[6:]]
+        except ValueError:
+            raise ParseError("malformed triangle line", line=ln) from None
+        if not all(0 <= v < nvert for v in corners):
+            raise ParseError(f"triangle vertex index out of range [0, {nvert - 1}]", line=ln)
+    raise ParseError("unexpected end of file", line=n_lines)
+
+
+def _vertex_block(rows: list[list[str]], nums: list[int], nvert: int,
+                  n_lines: int) -> np.ndarray:
+    try:
+        if len(rows) == nvert and not set(map(len, rows)) - {4}:
+            verts = [float(v) for parts in rows for v in parts]
+            return np.array(verts, dtype=np.float64).reshape(nvert, 4)
+    except ValueError:
+        pass
+    for parts, ln in zip(rows, nums):
+        if len(parts) != 4:
+            raise ParseError("vertex line needs 'ox oy sx sy'", line=ln)
+        try:
+            [float(v) for v in parts]
+        except ValueError:
+            raise ParseError("malformed vertex line", line=ln) from None
+    raise ParseError("unexpected end of file", line=n_lines)
+
+
 def load_warpfield(path: str | Path) -> WarpField:
-    text = read_text(path)
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
+    # the numbers of the lines that are not whitespace only; a block's lines
+    # are split when it is parsed, so the whole file's tokens are never held
+    nums = list(compress(range(1, len(lines) + 1), map(str.strip, lines)))
     pos = 0
 
     def take() -> tuple[int, list[str]]:
         nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
+        if pos >= len(nums):
             raise ParseError("unexpected end of file", line=len(lines))
         pos += 1
-        return pos, lines[pos - 1].split()
+        return nums[pos - 1], lines[nums[pos - 1] - 1].split()
+
+    def block(n: int) -> tuple[list[list[str]], list[int]]:
+        nonlocal pos
+        ns = nums[pos:pos + n]
+        pos += n
+        return [lines[k - 1].split() for k in ns], ns
 
     ln, head = take()
     if len(head) != 3:
@@ -387,35 +438,11 @@ def load_warpfield(path: str | Path) -> WarpField:
             )
         if nvert < nc:
             raise ParseError(f"fewer vertices ({nvert}) than controls ({nc})", line=ln)
-        # rows are collected first: the counts come from the file, so no
-        # array is sized by them before the lines are there
-        coefs, corners, tri_lines = [], [], []
-        for _ in range(ntri):
-            ln, parts = take()
-            if len(parts) != 9:
-                raise ParseError("triangle line needs 6 coefficients + 3 indices", line=ln)
-            try:
-                coefs.append([float(v) for v in parts[:6]])
-                corners.append([int(v) for v in parts[6:]])
-            except ValueError:
-                raise ParseError("malformed triangle line", line=ln) from None
-            if not all(0 <= v < nvert for v in corners[-1]):
-                raise ParseError(
-                    f"triangle vertex index out of range [0, {nvert - 1}]", line=ln
-                )
-            tri_lines.append(ln)
-        affines = np.array(coefs, dtype=np.float64).reshape(ntri, 2, 3)
-        tris = np.array(corners, dtype=np.int64).reshape(ntri, 3)
-        verts = []
-        for _ in range(nvert):
-            ln, parts = take()
-            if len(parts) != 4:
-                raise ParseError("vertex line needs 'ox oy sx sy'", line=ln)
-            try:
-                verts.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError("malformed vertex line", line=ln) from None
-        verts = np.array(verts, dtype=np.float64).reshape(nvert, 4)
+        # a block's lines are taken first: the counts come from the file, so
+        # no array is sized by them before the lines are there
+        tri_rows, tri_lines = block(ntri)
+        affines, tris = _triangle_block(tri_rows, tri_lines, ntri, nvert, len(lines))
+        verts = _vertex_block(*block(nvert), nvert, len(lines))
         if nc < 3:  # the crop takes the last nc vertices as the border ring
             raise ParseError(f"a frame needs at least 3 controls, got {nc}", line=head_ln)
         src = np.ascontiguousarray(verts[:, :2])
@@ -439,10 +466,8 @@ def load_warpfield(path: str | Path) -> WarpField:
                 flipped=_flagged_triangles(src, dst, tris),
             )
         )
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos != len(lines):
-        raise ParseError("trailing content after last frame", line=pos + 1)
+    if pos < len(nums):
+        raise ParseError("trailing content after last frame", line=nums[pos])
     return WarpField(
         frame_size=(w, h),
         n_controls=0 if n_controls is None else n_controls,

@@ -105,6 +105,9 @@ def test_bad_config_value_exits_three(tmp_path):
 @pytest.mark.parametrize("setting", [
     "tracker_max_iterations=0", "tracker_fb_error_max=-1", "tracker_response_radius=0",
     "tracker_corner_target=0", "tracker_grid_cols=0",
+    # NaN or out-of-range values that track wrongly without complaint
+    "tracker_min_new_corner_dist=nan", "tracker_convergence_px=-0.01",
+    "tracker_redetect_fraction=-1.0", "tracker_min_per_cell=-1",
 ])
 def test_track_rejects_tracker_values_that_track_nothing(tmp_path, setting, caplog):
     rng = np.random.default_rng(41)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from meshstab import metrics
 from meshstab.frames import GrayFrame
@@ -141,6 +144,67 @@ def test_video_ssim_input_validation():
     tiny = GrayFrame.from_array(np.zeros((8, 12)))
     with pytest.raises(ValueError, match="at least 11 px"):
         metrics.video_ssim([tiny, tiny, tiny])
+
+
+def _pairs_or_error(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# 11 px is the smallest frame; a side whose full shape (side + 10) is not
+# 5-smooth is padded by the transform, e.g. 11 (21 -> 24) and 79 (89 -> 90)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(11, 90), height=st.integers(11, 90), count=st.integers(2, 5),
+       odd=st.none() | st.tuples(st.integers(0, 4), st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)])),
+       seed=st.integers(0, 2**32 - 1))
+@example(width=11, height=11, count=3, odd=None, seed=1)
+@example(width=79, height=11, count=2, odd=None, seed=2)
+@example(width=90, height=90, count=5, odd=None, seed=3)
+@example(width=40, height=30, count=5, odd=(3, (1, 0)), seed=4)
+@example(width=11, height=12, count=4, odd=(1, (0, -1)), seed=5)
+def test_video_ssim_pairs_equal_ssim_pair_on_any_size(width, height, count, odd, seed):
+    """Every pair equals ssim_pair exactly; a frame 1 px off raises the same
+    error at the same pair."""
+    assert next_fast_len(11 + 10, True) > 21 and next_fast_len(79 + 10, True) > 89
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0, 255, (height, width))
+    frames = [GrayFrame.from_array(np.clip(base + rng.normal(0, 30, base.shape), 0, 255))
+              for _ in range(count)]
+    if odd is not None and odd[0] < count:
+        k, (dw, dh) = odd
+        frames[k] = GrayFrame.from_array(rng.uniform(0, 255, (height + dh, width + dw)))
+    got = _pairs_or_error(lambda: metrics.video_ssim(frames).pairs)
+    want = _pairs_or_error(lambda: tuple(metrics.ssim_pair(a, b)
+                                         for a, b in zip(frames, frames[1:])))
+    assert got == want
+
+
+def test_video_ssim_transforms_the_window_once(monkeypatch):
+    """One window spectrum per call, and one rfftn and one irfftn per blur:
+    5 blurs for the first pair, 3 for each later one."""
+    calls = {"window": 0, "rfftn": 0, "irfftn": 0}
+
+    def rfftn(x, *args, **kwargs):
+        calls["window" if x.shape == (metrics.SSIM_WINDOW,) * 2 else "rfftn"] += 1
+        return real_rfftn(x, *args, **kwargs)
+
+    def irfftn(x, *args, **kwargs):
+        calls["irfftn"] += 1
+        return real_irfftn(x, *args, **kwargs)
+
+    real_rfftn, real_irfftn = metrics.rfftn, metrics.irfftn
+    rng = np.random.default_rng(15)
+    frames = [GrayFrame.from_array(rng.uniform(0, 255, (30, 40))) for _ in range(6)]
+    want = metrics.video_ssim(frames)
+    monkeypatch.setattr(metrics, "rfftn", rfftn)
+    monkeypatch.setattr(metrics, "irfftn", irfftn)
+    for n in (2, 6):
+        calls.update(window=0, rfftn=0, irfftn=0)
+        rep = metrics.video_ssim(frames[:n])
+        assert rep.pairs == want.pairs[:n - 1]
+        assert calls == {"window": 1, "rfftn": 3 * (n - 1) + 2, "irfftn": 3 * (n - 1) + 2}
 
 
 def test_jitter_energy():

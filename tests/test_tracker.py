@@ -186,10 +186,21 @@ def test_tracker_determinism_and_bounds():
     ("max_iterations", 0), ("fb_error_max", -1.0), ("fb_error_max", 0.0),
     ("fb_error_max", float("nan")), ("response_radius", 0), ("corner_target", 0),
     ("grid_cols", 0), ("grid_rows", 0),
+    # NaN passes the comparisons these fields feed, so it must be refused too
+    *[(f, v) for f in ("min_new_corner_dist", "convergence_px", "cell_relax", "min_eig_threshold")
+      for v in (float("nan"), -0.5)],
+    ("redetect_fraction", float("nan")), ("redetect_fraction", -0.1),
+    ("redetect_fraction", 1.5), ("min_per_cell", -1),
 ])
 def test_config_rejects_values_that_track_nothing(field, value):
     with pytest.raises(ValueError, match=field):
         TrackerConfig(**{field: value})
+
+
+def test_config_accepts_boundary_values():
+    TrackerConfig(min_new_corner_dist=0.0, convergence_px=0.0, cell_relax=0.0,
+                  min_eig_threshold=0.0, redetect_fraction=0.0, min_per_cell=0)
+    TrackerConfig(redetect_fraction=1.0)
 
 
 def _same_tracks(a, b):

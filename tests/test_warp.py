@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import logging
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshstab import warp as wp
-from meshstab.errors import DegenerateGeometryError, ParseError
+from meshstab.errors import DegenerateGeometryError, ParseError, read_text
 from meshstab.frames import GrayFrame
 from meshstab.mesh import build_all_meshes, make_control_points
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
@@ -283,6 +286,270 @@ def test_warpfield_rejects_affine_off_its_vertices(tmp_path):
     ln = nudge_affine(path, frame=2, tri=3)
     with pytest.raises(ParseError, match=f"line {ln}: triangle affine"):
         wp.load_warpfield(path)
+
+
+# --- the line-by-line warp-field writer and parser, kept as the oracle ---
+
+
+def _save_warpfield_lines(field, path):
+    w, h = field.frame_size
+    lines = [f"{len(field.frames)} {w} {h}"]
+    for fw in field.frames:
+        lines.append(
+            f"{fw.triangles.shape[0]} {fw.src.shape[0]} {field.n_controls}"
+        )
+        for a, tri in zip(fw.affines, fw.triangles):
+            coefs = " ".join(repr(float(v)) for v in a.ravel())
+            lines.append(f"{coefs} {tri[0]} {tri[1]} {tri[2]}")
+        for o, s in zip(fw.src, fw.dst):
+            lines.append(
+                f"{float(o[0])!r} {float(o[1])!r} "
+                f"{float(s[0])!r} {float(s[1])!r}"
+            )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _load_warpfield_lines(path):
+    text = read_text(path)
+    lines = text.splitlines()
+    pos = 0
+
+    def take():
+        nonlocal pos
+        while pos < len(lines) and not lines[pos].strip():
+            pos += 1
+        if pos >= len(lines):
+            raise ParseError("unexpected end of file", line=len(lines))
+        pos += 1
+        return pos, lines[pos - 1].split()
+
+    ln, head = take()
+    if len(head) != 3:
+        raise ParseError("header must be '<frames> <width> <height>'", line=ln)
+    try:
+        count, w, h = (int(v) for v in head)
+    except ValueError:
+        raise ParseError("non-integer header field", line=ln) from None
+    if count < 0:
+        raise ParseError(f"negative frame count {count}", line=ln)
+    if w < 2 or h < 2:
+        raise ParseError(f"frame size must be at least 2x2, got {w}x{h}", line=ln)
+    n_controls = None
+    frames = []
+    for _ in range(count):
+        ln, head = take()
+        head_ln = ln
+        if len(head) != 3:
+            raise ParseError(
+                "frame header must be '<triangles> <vertices> <controls>'", line=ln
+            )
+        try:
+            ntri, nvert, nc = (int(v) for v in head)
+        except ValueError:
+            raise ParseError("non-integer frame header field", line=ln) from None
+        if min(ntri, nvert, nc) < 0:
+            raise ParseError("negative count in frame header", line=ln)
+        if n_controls is None:
+            n_controls = nc
+        elif nc != n_controls:
+            raise ParseError(
+                f"inconsistent control count {nc} (expected {n_controls})", line=ln
+            )
+        if nvert < nc:
+            raise ParseError(f"fewer vertices ({nvert}) than controls ({nc})", line=ln)
+        coefs, corners, tri_lines = [], [], []
+        for _ in range(ntri):
+            ln, parts = take()
+            if len(parts) != 9:
+                raise ParseError("triangle line needs 6 coefficients + 3 indices", line=ln)
+            try:
+                coefs.append([float(v) for v in parts[:6]])
+                corners.append([int(v) for v in parts[6:]])
+            except ValueError:
+                raise ParseError("malformed triangle line", line=ln) from None
+            if not all(0 <= v < nvert for v in corners[-1]):
+                raise ParseError(
+                    f"triangle vertex index out of range [0, {nvert - 1}]", line=ln
+                )
+            tri_lines.append(ln)
+        affines = np.array(coefs, dtype=np.float64).reshape(ntri, 2, 3)
+        tris = np.array(corners, dtype=np.int64).reshape(ntri, 3)
+        verts = []
+        for _ in range(nvert):
+            ln, parts = take()
+            if len(parts) != 4:
+                raise ParseError("vertex line needs 'ox oy sx sy'", line=ln)
+            try:
+                verts.append([float(v) for v in parts])
+            except ValueError:
+                raise ParseError("malformed vertex line", line=ln) from None
+        verts = np.array(verts, dtype=np.float64).reshape(nvert, 4)
+        if nc < 3:
+            raise ParseError(f"a frame needs at least 3 controls, got {nc}", line=head_ln)
+        src = np.ascontiguousarray(verts[:, :2])
+        dst = np.ascontiguousarray(verts[:, 2:])
+        hit = (np.einsum("kij,kvj->kvi", affines[:, :, :2], src[tris])
+               + affines[:, None, :, 2])
+        off = np.nonzero(~(np.abs(hit - dst[tris]).max(axis=(1, 2)) <= wp._AFFINE_TOL))[0]
+        if off.size:
+            raise ParseError(
+                "triangle affine does not map its src vertices onto dst",
+                line=tri_lines[off[0]],
+            )
+        frames.append(wp.FrameWarp(triangles=tris, src=src, dst=dst, affines=affines,
+                                   flipped=wp._flagged_triangles(src, dst, tris)))
+    while pos < len(lines) and not lines[pos].strip():
+        pos += 1
+    if pos != len(lines):
+        raise ParseError("trailing content after last frame", line=pos + 1)
+    return wp.WarpField(frame_size=(w, h),
+                        n_controls=0 if n_controls is None else n_controls,
+                        frames=tuple(frames))
+
+
+def _load_outcome(load, path):
+    """The loaded field, or the error's type, message and line."""
+    try:
+        return load(path)
+    except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.frame_size, got.n_controls, len(got)) == \
+        (want.frame_size, want.n_controls, len(want))
+    for a, b in zip(got.frames, want.frames):
+        for name in ("triangles", "src", "dst", "affines", "flipped"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+
+
+def _oracle_field(seed):
+    rng = np.random.default_rng(seed)
+    _, field = _deformed_field(rng)
+    return field
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_save_warpfield_matches_line_by_line_writer(tmp_path, seed):
+    field = _oracle_field(seed)
+    # signed zeros, repr's shortest digits and integers stored as floats
+    fw = field.frames[1]
+    aff = fw.affines.copy()
+    aff[0] = [[-0.0, 0.1, 1e-300], [2.0 / 3.0, 1e16, -123456.789]]
+    field = wp.WarpField(field.frame_size, field.n_controls, (
+        field.frames[0],
+        wp.FrameWarp(fw.triangles, fw.src, fw.dst, aff, fw.flipped),
+        *field.frames[2:],
+        wp.FrameWarp(np.zeros((0, 3), np.int64), np.zeros((0, 2)), np.zeros((0, 2)),
+                     np.zeros((0, 2, 3)), np.zeros(0, np.int64)),
+    ))
+    wp.save_warpfield(field, tmp_path / "new.warp")
+    _save_warpfield_lines(field, tmp_path / "old.warp")
+    assert (tmp_path / "new.warp").read_bytes() == (tmp_path / "old.warp").read_bytes()
+
+
+def test_load_warpfield_matches_line_by_line_parser_line_by_line(tmp_path):
+    """Whitespace-only lines are skipped.  A file cut after any line, with a
+    line appended, or with a malformed token on any line fails with the
+    oracle's error at the oracle's line."""
+    path = tmp_path / "wf.warp"
+    wp.save_warpfield(_oracle_field(14), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for text in (lines, ["", *lines[:5], "  \t", *lines[5:40], "", *lines[40:], " "]):
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        got = _load_outcome(wp.load_warpfield, path)
+        assert isinstance(got, wp.WarpField)
+        _assert_same_outcome(got, _load_outcome(_load_warpfield_lines, path))
+        bad = [[*text, "junk"]]
+        for k, line in enumerate(text):
+            bad.append(text[:k])
+            parts = line.split() or ["x"]
+            parts[k % len(parts)] = "x"
+            bad.append([*text[:k], " ".join(parts), *text[k + 1:]])
+        for cut in bad:
+            path.write_text("\n".join(cut) + "\n", encoding="utf-8")
+            _assert_same_outcome(_load_outcome(wp.load_warpfield, path),
+                                 _load_outcome(_load_warpfield_lines, path))
+
+
+def test_load_warpfield_holds_one_block_of_tokens_at_a_time(tmp_path):
+    """Splitting every line of the file up front peaks at about nine times
+    the file's size; a frame's block at a time peaks under three times."""
+    field = _oracle_field(16)
+    field = wp.WarpField(field.frame_size, field.n_controls, field.frames * 15)
+    path = tmp_path / "wf.warp"
+    wp.save_warpfield(field, path)
+    tracemalloc.start()
+    try:
+        wp.load_warpfield(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def oracle_lines(tmp_path_factory):
+    """Three frames of a saved field: 277 lines, parsed in about a millisecond."""
+    field = _oracle_field(15)
+    path = tmp_path_factory.mktemp("oracle") / "wf.warp"
+    wp.save_warpfield(wp.WarpField(field.frame_size, field.n_controls, field.frames[:3]), path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+_BAD_TOKENS = ["0", "-1", "1", "2", "3", "3.0", "nan", "inf", "-inf", "1e309", "x", "",
+               "99999999999999999999", "1_0", "0x1", "--1", "1e-400", "1.2.3", "+-1", "1e"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(op=st.sampled_from(["set_tok", "shift_int", "del_tok", "dup_tok", "del_line",
+                           "dup_line", "swap_lines", "junk_line"]),
+       rnd=st.randoms(), token=st.sampled_from(_BAD_TOKENS), shift=st.sampled_from([-2, -1, 1, 2]),
+       blank=st.booleans())
+def test_load_warpfield_matches_line_by_line_parser_on_corrupt_files(oracle_lines, op, rnd,
+                                                                     token, shift, blank):
+    """One token or one line of a saved field is corrupted; the parser gives
+    the oracle's field, or the oracle's error at the oracle's line.  A
+    whitespace-only line may be inserted too, which shifts the line numbers."""
+    lines = [ln.split() for ln in oracle_lines]
+    if blank:
+        lines.insert(rnd.randrange(len(lines) + 1), [])
+    # hypothesis draws integers biased toward 0; a seeded Random spreads the
+    # edits over the file, with one in three on a header line
+    heads = [i for i, p in enumerate(lines) if len(p) == 3]
+    i = rnd.choice(heads) if rnd.random() < 1 / 3 else rnd.randrange(len(lines))
+    parts = lines[i]
+    j = rnd.randrange(len(parts))
+    if op == "set_tok":
+        parts[j] = token
+    elif op == "shift_int":
+        ints = [k for k, v in enumerate(parts) if v.lstrip("-").isdigit()]
+        if ints:
+            k = rnd.choice(ints)
+            parts[k] = str(int(parts[k]) + shift)
+    elif op == "del_tok":
+        del parts[j]
+    elif op == "dup_tok":
+        parts.insert(j, parts[j])
+    elif op == "del_line":
+        del lines[i]
+    elif op == "dup_line":
+        lines.insert(i, list(parts))
+    elif op == "swap_lines":
+        lines[i:i + 2] = lines[i:i + 2][::-1]
+    else:
+        lines.insert(i, ["junk"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wf.warp"
+        path.write_text("\n".join(" ".join(p) for p in lines) + "\n", encoding="utf-8")
+        _assert_same_outcome(_load_outcome(wp.load_warpfield, path),
+                             _load_outcome(_load_warpfield_lines, path))
 
 
 def test_apply_crop_bounds():
