@@ -42,7 +42,6 @@ from .trajectory import (
     SceneSpec,
     TrajectorySet,
     filter_short,
-    frame_feature_set,
     load_trajectories,
     make_scene_spec,
     save_trajectories,
@@ -88,7 +87,6 @@ __all__ = [
     "FeatureTrajectory",
     "TrajectorySet",
     "SceneSpec",
-    "frame_feature_set",
     "filter_short",
     "validate_bounds",
     "load_trajectories",

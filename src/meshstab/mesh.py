@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import DegenerateGeometryError
-from .trajectory import TrajectorySet, frame_feature_set
+from .trajectory import TrajectorySet
 
 __all__ = [
     "FrameMesh",
@@ -80,10 +80,10 @@ def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Triangulation:
     """Triangle index triples (each sorted ascending, list in lex order) and
-    the adjacency list of triangle pairs sharing an edge."""
+    the (P, 4) adjacency rows of triangle pairs sharing an edge."""
 
     triangles: np.ndarray
-    adjacency: tuple[tuple[int, int, tuple[int, int]], ...]
+    adjacency: np.ndarray
 
 
 def _canonicalize(tris: np.ndarray) -> np.ndarray:
@@ -92,8 +92,9 @@ def _canonicalize(tris: np.ndarray) -> np.ndarray:
     return arr[order]
 
 
-def _adjacency(tris: np.ndarray) -> tuple[tuple[int, int, tuple[int, int]], ...]:
-    """Pairs (i, j, (u, v)), i < j, of canonical triangles sharing edge u < v."""
+def _adjacency(tris: np.ndarray) -> np.ndarray:
+    """Read-only (P, 4) int64 rows (i, j, u, v), in lex order: canonical
+    triangles i < j share the edge u < v."""
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]])
     owners = np.tile(np.arange(tris.shape[0]), 3)
     order = np.lexsort((owners, edges[:, 1], edges[:, 0]))
@@ -107,7 +108,8 @@ def _adjacency(tris: np.ndarray) -> tuple[tuple[int, int, tuple[int, int]], ...]
         )
     pairs = np.column_stack([owners[:-1][shared], owners[1:][shared], edges[:-1][shared]])
     pairs = pairs[np.lexsort(pairs.T[::-1])]
-    return tuple((i, j, (u, v)) for i, j, u, v in pairs.tolist())
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _border_chains(pts: np.ndarray, rect: tuple[float, float, float, float],
@@ -215,7 +217,8 @@ class FrameMesh:
     Vertex indexing: 0..F-1 are feature vertices (feature_ids gives their
     trajectory ids, ascending), F..F+C-1 are control points in ring order.
     inner lists triangle indices whose vertices are all features; outer is
-    the complement.  adjacency pairs triangles sharing an edge.
+    the complement.  adjacency holds the (P, 4) rows (i, j, u, v) of
+    triangles i < j sharing the edge u < v.
     """
 
     frame: int
@@ -226,7 +229,7 @@ class FrameMesh:
     triangles: np.ndarray
     inner: np.ndarray
     outer: np.ndarray
-    adjacency: tuple[tuple[int, int, tuple[int, int]], ...]
+    adjacency: np.ndarray
     merged_feature_ids: tuple[int, ...] = ()
 
     @property
@@ -240,18 +243,6 @@ class FrameMesh:
         pts.flags.writeable = False
         return pts
 
-    @cached_property
-    def adjacency_array(self) -> np.ndarray:
-        """adjacency as a read-only (P, 4) int array of rows (i, j, u, v)."""
-        arr = np.array(
-            [(i, j, u, v) for i, j, (u, v) in self.adjacency], dtype=np.int64
-        ).reshape(-1, 4)
-        arr.flags.writeable = False
-        return arr
-
-    def vertex_is_control(self, v: int) -> bool:
-        return v >= self.n_features
-
 
 def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh:
     """Mesh one frame of a trajectory set.
@@ -263,10 +254,9 @@ def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh
     """
     w, h = ts.frame_size
     controls = make_control_points(w, h, per_edge)
-    feats = frame_feature_set(ts, t)
-
-    ids = np.array([fid for fid, _ in feats], dtype=np.int64)
-    fpts = np.array([p for _, p in feats], dtype=np.float64).reshape(-1, 2)
+    obs = ts.observations
+    rows = obs.at(t)
+    ids, fpts = obs.ids[rows], obs.points[rows]
     d2_control = np.sum((fpts[:, None, :] - controls[None, :, :]) ** 2, axis=2)
     keep = ~np.any(d2_control < DEDUP_EPS**2, axis=1)
     # close[i, j]: feature j comes before i and lies within DEDUP_EPS of it

@@ -81,64 +81,51 @@ class StageOneConfig:
     lsm: LsmParams = LsmParams()
 
     def __post_init__(self):
+        # written so that NaN fails them too
         for name in ("alpha", "beta", "gamma", "epsilon"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.solver_tol <= 0.0:
+        if not self.solver_tol > 0.0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
 
 
 class UnknownIndex:
     """Column layout of the stacked unknown vector.
 
-    Trajectories are laid out in ascending id order; within a trajectory,
-    frames in order; per frame, x then y.  Keeps enough structure (ids,
-    start frames, frame geometry, original values) to rebuild a
+    Row r of the set's observation table is columns 2r (x) and 2r + 1 (y):
+    trajectories in ascending id order; within a trajectory, frames in
+    order.  Keeps the table and the frame geometry, enough to rebuild a
     TrajectorySet from a solution vector.
     """
 
     def __init__(self, ts: TrajectorySet):
         self.frame_count = ts.frame_count
         self.frame_size = ts.frame_size
-        self._offset: dict[int, int] = {}
-        self._start: dict[int, int] = {}
-        self._length: dict[int, int] = {}
-        self._order: list[int] = []
-        off = 0
-        for tr in sorted(ts.trajectories, key=lambda r: r.id):
-            self._offset[tr.id] = off
-            self._start[tr.id] = tr.start_frame
-            self._length[tr.id] = len(tr)
-            self._order.append(tr.id)
-            off += len(tr)
-        self.n = 2 * off
-        x0 = np.empty(self.n)
-        for tr in ts.trajectories:
-            base = 2 * self._offset[tr.id]
-            x0[base:base + 2 * len(tr)] = tr.points.ravel()
-        x0.flags.writeable = False
-        self.x0 = x0
+        self.obs = ts.observations
+        self.n = 2 * self.obs.ids.size
+        self.x0 = self.obs.points.reshape(-1)  # a read-only view
 
     def col(self, tid: int, t: int, axis: int) -> int:
         """Column of (trajectory tid, frame t, axis); axis 0 is x, 1 is y."""
-        start = self._start[tid]
-        return 2 * (self._offset[tid] + (t - start)) + axis
+        return 2 * int(self.obs.rows(t, [tid])[0]) + axis
 
     def base(self, tid: int) -> int:
         """Column of the trajectory's first frame, x axis."""
-        return 2 * self._offset[tid]
+        r = int(np.searchsorted(self.obs.ids, tid))
+        if r == self.obs.ids.size or self.obs.ids[r] != tid:
+            raise KeyError(f"no trajectory with id {tid}")
+        return 2 * r
 
     def unpack(self, x: np.ndarray) -> TrajectorySet:
         if x.shape != (self.n,):
             raise ValueError(f"expected solution of shape ({self.n},), got {x.shape}")
-        trajs = []
-        for tid in self._order:
-            base = 2 * self._offset[tid]
-            ln = self._length[tid]
-            pts = x[base:base + 2 * ln].reshape(ln, 2).copy()
-            trajs.append(FeatureTrajectory(
-                id=tid, start_frame=self._start[tid], points=pts))
-        return TrajectorySet(tuple(trajs), self.frame_count, self.frame_size)
+        ids, first = np.unique(self.obs.ids, return_index=True)
+        pts = np.split(x.reshape(-1, 2), first[1:])
+        trajs = tuple(
+            FeatureTrajectory(id=tid, start_frame=start, points=p)
+            for tid, start, p in zip(ids.tolist(), self.obs.frames[first].tolist(), pts)
+        )
+        return TrajectorySet(trajs, self.frame_count, self.frame_size)
 
 
 def gram_entries(
@@ -346,16 +333,6 @@ def add_reg(prob: QuadraticProblem, ts: TrajectorySet, weight: float = 1.0) -> N
     prob.add_batch(weight, cols, coefs, targets=prob.index.x0)
 
 
-def _feature_columns(prob: QuadraticProblem, mesh: FrameMesh) -> np.ndarray:
-    """x-axis column per feature vertex of a mesh (y is that plus one)."""
-    t = mesh.frame
-    return np.fromiter(
-        (prob.index.col(int(tid), t, 0) for tid in mesh.feature_ids),
-        dtype=np.int64,
-        count=mesh.n_features,
-    )
-
-
 def intersim_rows(mesh: FrameMesh, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Similarity reconstruction rows over the triangles `which` of a mesh.
 
@@ -393,7 +370,7 @@ def intersim_rows(mesh: FrameMesh, which: np.ndarray) -> tuple[np.ndarray, np.nd
 def intrasim_rows(mesh: FrameMesh, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric consistency rows over adjacent triangle pairs of a mesh.
 
-    pairs holds rows (i, j, u, v) of mesh.adjacency_array.  The vertex of
+    pairs holds rows (i, j, u, v) of mesh.adjacency.  The vertex of
     each triangle opposite the shared edge (u, v) is written in the other
     triangle's barycentric frame (wa, wb, wc) and rebuilt from its three
     vertices: wa p0 + wb p1 + wc p2 - p_opp, per axis.  Returns mesh-local
@@ -441,7 +418,7 @@ def add_intersim(
             continue
         k, c = intersim_rows(mesh, mesh.inner)
         lsw = np.array([lsm_table.get(mesh.frame, int(tid)) for tid in mesh.feature_ids])
-        colx = _feature_columns(prob, mesh)
+        colx = 2 * ts.observations.rows(mesh.frame, mesh.feature_ids)
         prob.add_batch(cfg.gamma * lsw[k[:, -1] // 2], colx[k // 2] + k % 2, c)
 
 
@@ -456,12 +433,11 @@ def add_intrasim(
     Each unordered pair contributes both reconstructions once.
     """
     for mesh in meshes:
-        pairs = mesh.adjacency_array
-        pairs = pairs[np.isin(pairs[:, :2], mesh.inner).all(axis=1)]
+        pairs = mesh.adjacency[np.isin(mesh.adjacency[:, :2], mesh.inner).all(axis=1)]
         if pairs.shape[0] == 0:
             continue
         k, c = intrasim_rows(mesh, pairs)
-        colx = _feature_columns(prob, mesh)
+        colx = 2 * ts.observations.rows(mesh.frame, mesh.feature_ids)
         prob.add_batch(cfg.epsilon, colx[k // 2] + k % 2, c)
 
 

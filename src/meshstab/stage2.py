@@ -83,7 +83,7 @@ def assemble_stage2_frame(
             f"mesh with {mesh.n_features} features"
         )
     n = 2 * mesh.points.shape[0]
-    pairs = mesh.adjacency_array
+    pairs = mesh.adjacency
     n_outer = np.isin(pairs[:, :2], mesh.outer).sum(axis=1)
     touching = n_outer > 0
     k1, c1 = intersim_rows(mesh, mesh.outer)
@@ -129,13 +129,11 @@ def solve_stage2(
     Frames whose system is singular (too few anchoring features) keep
     their original control points and are reported in fallback_frames.
     """
-    by_id = {tr.id: tr for tr in stabilized_features.trajectories}
+    obs = stabilized_features.observations
     out = []
     fallback: list[int] = []
     for mesh in meshes:
-        stab_feat = np.array(
-            [by_id[int(tid)].point_at(mesh.frame) for tid in mesh.feature_ids]
-        ).reshape(mesh.n_features, 2)
+        stab_feat = obs.points[obs.rows(mesh.frame, mesh.feature_ids)]
         prob = assemble_stage2_frame(mesh, stab_feat, cfg)
         x = solve_frame(prob)
         if x is None:

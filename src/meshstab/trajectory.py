@@ -9,11 +9,18 @@ across threads.
 Points are float64 arrays of shape (2,) holding (x, y) pixel coordinates,
 0-based, with x in [0, width-1] and y in [0, height-1].  Frame indices are
 0-based everywhere, including the text file format.
+
+Every later layer works on the features alive at each frame.  A set packs
+them once, in one numpy pass, into its ObservationTable: one row per
+(trajectory, frame) observation, in ascending id, then frame, order, so row
+r is stage-1 unknowns 2r (x) and 2r + 1 (y).  A frame-major permutation of
+the rows makes frame t's features, ascending by id, one slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +30,8 @@ from .errors import ParseError, read_text
 __all__ = [
     "FeatureTrajectory",
     "TrajectorySet",
+    "ObservationTable",
     "SceneSpec",
-    "frame_feature_set",
     "filter_short",
     "validate_bounds",
     "load_trajectories",
@@ -32,6 +39,9 @@ __all__ = [
     "make_scene_spec",
     "synthesize_scene",
 ]
+
+
+_INT64_MAX = 2**63 - 1  # ids and frames are held as int64 arrays
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,8 @@ class FeatureTrajectory:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError(f"points must have shape (n>=1, 2), got {pts.shape}")
+        if max(self.id, self.start_frame + pts.shape[0] - 1) > _INT64_MAX:
+            raise ValueError("id or frames beyond the int64 range")
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"trajectory {self.id}: non-finite coordinates")
         pts = pts.copy()
@@ -123,6 +135,65 @@ class TrajectorySet:
                 return tr
         raise KeyError(f"no trajectory with id {tid}")
 
+    @cached_property
+    def observations(self) -> ObservationTable:
+        """The packed table of every observation, built on first use."""
+        trs = sorted(self.trajectories, key=lambda tr: tr.id)
+        lengths = np.array([len(tr) for tr in trs], dtype=np.int64)
+        first = np.concatenate([[0], np.cumsum(lengths)])
+        starts = np.array([tr.start_frame for tr in trs], dtype=np.int64)
+        frames = np.arange(first[-1]) + np.repeat(starts - first[:-1], lengths)
+        order = np.argsort(frames, kind="stable")  # keeps each frame's rows in id order
+        return ObservationTable(
+            frame_count=self.frame_count,
+            ids=np.repeat(np.array([tr.id for tr in trs], dtype=np.int64), lengths),
+            frames=frames,
+            points=np.concatenate([tr.points for tr in trs] or [np.zeros((0, 2))]),
+            order=order,
+            frame_major=frames[order],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Every (trajectory, frame) observation of a TrajectorySet, packed.
+
+    ids, frames and points hold one row per observation, in ascending id,
+    then frame, order.  Frame t's rows are the slice of the frame-major
+    permutation `order` that binary search over frame_major bounds, which
+    keeps the table O(observations) however many frames the set claims.
+    """
+
+    frame_count: int
+    ids: np.ndarray          # (R,) int64
+    frames: np.ndarray       # (R,) int64
+    points: np.ndarray       # (R, 2) float64
+    order: np.ndarray        # (R,) int64, frame-major row permutation
+    frame_major: np.ndarray  # (R,) int64, frames[order]
+
+    def __post_init__(self):
+        for arr in (self.ids, self.frames, self.points, self.order, self.frame_major):
+            arr.flags.writeable = False
+
+    def at(self, t: int) -> np.ndarray:
+        """Rows alive at frame t, ascending by id."""
+        if not 0 <= t <= self.frame_count - 1:
+            raise IndexError(f"frame {t} out of range [0, {self.frame_count - 1}]")
+        lo = np.searchsorted(self.frame_major, t, side="left")
+        hi = np.searchsorted(self.frame_major, t, side="right")
+        return self.order[lo:hi]
+
+    def rows(self, t: int, ids) -> np.ndarray:
+        """Rows of trajectories `ids` at frame t; every one must be alive there."""
+        alive = self.at(t)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        pos = np.searchsorted(self.ids[alive], ids)
+        hit = pos < alive.size
+        hit[hit] = self.ids[alive[pos[hit]]] == ids[hit]
+        if not hit.all():
+            raise IndexError(f"trajectory {int(ids[~hit][0])} is not alive at frame {t}")
+        return alive[pos]
+
 
 def validate_bounds(ts: TrajectorySet) -> TrajectorySet:
     """Raise ValueError unless every point sits inside the frame rectangle.
@@ -139,18 +210,6 @@ def validate_bounds(ts: TrajectorySet) -> TrajectorySet:
                 f"[0, {w - 1}] x [0, {h - 1}]"
             )
     return ts
-
-
-def frame_feature_set(ts: TrajectorySet, t: int) -> list[tuple[int, np.ndarray]]:
-    """All (id, position) pairs alive at frame t, ascending id."""
-    if not 0 <= t <= ts.frame_count - 1:
-        raise IndexError(
-            f"frame {t} out of range [0, {ts.frame_count - 1}]"
-        )
-    out = [(tr.id, tr.points[t - tr.start_frame])
-           for tr in ts.trajectories if tr.alive_at(t)]
-    out.sort(key=lambda p: p[0])
-    return out
 
 
 def filter_short(ts: TrajectorySet, min_len: int = 3) -> TrajectorySet:

@@ -168,7 +168,7 @@ def build_warp_field(
             f"{len(meshes)} meshes but stabilized set spans "
             f"{stabilized_features.frame_count} frames"
         )
-    by_id = {tr.id: tr for tr in stabilized_features.trajectories}
+    obs = stabilized_features.observations
     n_controls = ctrl.shape[1]
     frames = []
     for mesh in meshes:
@@ -177,11 +177,9 @@ def build_warp_field(
                 f"frame {mesh.frame}: mesh has {mesh.control_points.shape[0]} "
                 f"controls, stage-2 output has {n_controls}"
             )
-        stab_feat = np.array(
-            [by_id[int(tid)].point_at(mesh.frame) for tid in mesh.feature_ids]
-        ).reshape(mesh.n_features, 2)
         src = mesh.points
-        dst = np.vstack([stab_feat, ctrl[mesh.frame]])
+        dst = np.vstack([obs.points[obs.rows(mesh.frame, mesh.feature_ids)],
+                         ctrl[mesh.frame]])
         frames.append(
             FrameWarp(
                 triangles=mesh.triangles,
@@ -430,6 +428,8 @@ def load_warpfield(path: str | Path) -> WarpField:
             raise ParseError("non-integer frame header field", line=ln) from None
         if min(ntri, nvert, nc) < 0:
             raise ParseError("negative count in frame header", line=ln)
+        if max(ntri, nvert, nc) >= 2**63:  # keeps every index inside int64
+            raise ParseError("frame header count beyond the int64 range", line=ln)
         if n_controls is None:
             n_controls = nc
         elif nc != n_controls:

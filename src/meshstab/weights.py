@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .trajectory import TrajectorySet, frame_feature_set
+from .trajectory import TrajectorySet
 
 __all__ = [
     "TemporalWeightParams",
@@ -39,7 +39,7 @@ class TemporalWeightParams:
     sigma: float = 10.0
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:  # NaN included
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
@@ -49,7 +49,7 @@ def temporal_weight(d, sigma: float = 10.0):
     Monotonically non-increasing in d.  Accepts a scalar or an array;
     callers feed the magnitude of the observed per-axis step.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     u = (np.asarray(d, dtype=np.float64) - sigma) / sigma
     out = np.exp(-(u**3))
@@ -110,11 +110,11 @@ class LsmParams:
     def __post_init__(self):
         if self.k < 4:
             raise ValueError(f"k must be >= 4 (8-parameter fit), got {self.k}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:  # NaN included
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.clamp_low < self.clamp_high:
+        if not self.clamp_low < self.clamp_high:  # NaN in either included
             raise ValueError(
-                f"clamp range is empty: [{self.clamp_low}, {self.clamp_high}]"
+                f"clamp_low must be below clamp_high, got [{self.clamp_low}, {self.clamp_high}]"
             )
 
 
@@ -126,15 +126,6 @@ class LsmTable:
 
     def get(self, t: int, tid: int) -> float:
         return self.weights.get((t, tid), 1.0)
-
-
-def _frame_arrays(ts: TrajectorySet, t: int) -> tuple[np.ndarray, np.ndarray]:
-    feats = frame_feature_set(ts, t)
-    if not feats:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 2))
-    ids = np.array([f[0] for f in feats], dtype=np.int64)
-    pts = np.array([f[1] for f in feats])
-    return ids, pts
 
 
 def lsm_weight(
@@ -154,13 +145,12 @@ def lsm_weight(
     tr = ts.by_id(target_id)
     if t == tr.start_frame:
         return 1.0
-    ids_t, pts_t = _frame_arrays(ts, t)
-    ids_p, pts_p = _frame_arrays(ts, t - 1)
-    common, it, ip = np.intersect1d(ids_t, ids_p, return_indices=True)
+    obs = ts.observations
+    rt, rp = obs.at(t), obs.at(t - 1)
+    common, it, ip = np.intersect1d(obs.ids[rt], obs.ids[rp], return_indices=True)
     if target_id not in common:
         return 1.0
-    pos_t = pts_t[it]
-    pos_p = pts_p[ip]
+    pos_t, pos_p = obs.points[rt[it]], obs.points[rp[ip]]
     sel = int(np.nonzero(common == target_id)[0][0])
     n_others = len(common) - 1
     if n_others < params.min_neighbors:
@@ -177,20 +167,6 @@ def lsm_weight(
     rho = (w / params.tau + h / params.tau) / 2.0
     theta = float(d[order].sum()) / (k_eff * rho)
     return float(np.clip(theta * residual, params.clamp_low, params.clamp_high))
-
-
-def _frame_tables(ts: TrajectorySet) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every frame's alive ids (ascending) and their positions, in one pass."""
-    trs = ts.trajectories
-    if not trs:
-        return ([np.zeros(0, dtype=np.int64)] * ts.frame_count,
-                [np.zeros((0, 2))] * ts.frame_count)
-    ids = np.repeat([tr.id for tr in trs], [len(tr) for tr in trs])
-    frame = np.concatenate([np.arange(tr.start_frame, tr.end_frame + 1) for tr in trs])
-    pts = np.concatenate([tr.points for tr in trs])
-    order = np.lexsort((ids, frame))
-    cuts = np.searchsorted(frame[order], np.arange(1, ts.frame_count))
-    return np.split(ids[order], cuts), np.split(pts[order], cuts)
 
 
 def _batched_residuals(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -265,15 +241,17 @@ def build_lsm_table(ts: TrajectorySet, params: LsmParams = LsmParams()) -> LsmTa
     scalar reference; the entries match it up to the round-off of that SVD
     against lstsq's (about 1e-12 relative).
     """
-    ids, pts = _frame_tables(ts)
+    obs = ts.observations
     w, h = ts.frame_size
     rho = (w / params.tau + h / params.tau) / 2.0
     table: dict[tuple[int, int], float] = {}
     for t in range(ts.frame_count):
+        rows = obs.at(t)
         # a trajectory's first frame is not in common and stays neutral
-        weight = np.ones(ids[t].size)
+        weight = np.ones(rows.size)
         if t > 0:
-            _, it, ip = np.intersect1d(ids[t], ids[t - 1], return_indices=True)
-            weight[it] = _pair_weights(pts[t][it], pts[t - 1][ip], params, rho)
-        table.update(zip(zip([t] * weight.size, ids[t].tolist()), weight.tolist()))
+            prev = obs.at(t - 1)
+            _, it, ip = np.intersect1d(obs.ids[rows], obs.ids[prev], return_indices=True)
+            weight[it] = _pair_weights(obs.points[rows[it]], obs.points[prev[ip]], params, rho)
+        table.update(zip(zip([t] * weight.size, obs.ids[rows].tolist()), weight.tolist()))
     return LsmTable(weights=table)

@@ -422,7 +422,7 @@ def test_criterion_08_warp_correctness():
                 for v in tri:
                     p = fw.affines[kk, :, :2] @ fw.src[v] + fw.affines[kk, :, 2]
                     worst_v = max(worst_v, float(np.abs(p - fw.dst[v]).max()))
-            for i, j, (u, v) in mesh.adjacency:
+            for i, j, u, v in mesh.adjacency.tolist():
                 seg = mesh.points[u][None, :] * (1 - ties) + mesh.points[v][None, :] * ties
                 ai, aj = fw.affines[i], fw.affines[j]
                 pi = seg @ ai[:, :2].T + ai[:, 2]

@@ -94,12 +94,29 @@ def test_missing_input_file_exits_five(tmp_path):
     assert code == 5
 
 
-def test_bad_config_value_exits_three(tmp_path):
+def test_bad_config_value_exits_three(tmp_path, caplog):
     bad = tmp_path / "b.traj"
     bad.write_text("x\n", encoding="utf-8")
     code = cli.main(["stabilize", str(bad), "--out", str(tmp_path / "o"),
                      "--set", "min_track_len=1"])
     assert code == 3
+    # NaN passes a `< 0` or `<= 0` check; each stage-1 field must refuse it
+    # by name rather than fail later in the solver
+    for key in ("solver_tol", "alpha", "beta", "gamma", "epsilon", "sigma", "tau",
+                "clamp_low", "clamp_high"):
+        caplog.clear()
+        code = cli.main(["stabilize", str(bad), "--out", str(tmp_path / "o"),
+                         "--set", f"{key}=nan", "--set", "dense_cutoff=0"])
+        assert code == 3
+        assert key in caplog.text
+
+
+def test_trajectory_id_beyond_int64_exits_three(tmp_path, caplog):
+    path = tmp_path / "big.traj"
+    path.write_text("5 64 48\n" + str(10**23) + " 0 1.0 2.0 3.0 4.0 5.0 6.0 7.0 8.0\n",
+                    encoding="utf-8")
+    assert cli.main(["stabilize", str(path), "--out", str(tmp_path / "o.traj")]) == 3
+    assert "line 2" in caplog.text and "int64" in caplog.text
 
 
 @pytest.mark.parametrize("setting", [

@@ -156,13 +156,14 @@ def test_adjacency_matches_shared_vertex_count():
     pts = rng.uniform(0, 50, (15, 2))
     tri = triangulate(pts)
     tris = tri.triangles
-    pairs = {(i, j) for i, j, _ in tri.adjacency}
+    pairs = {(i, j) for i, j, _, _ in tri.adjacency.tolist()}
     for i in range(len(tris)):
         for j in range(i + 1, len(tris)):
             shared = len(set(tris[i]) & set(tris[j]))
             assert ((i, j) in pairs) == (shared == 2)
-    assert list(tri.adjacency) == sorted(tri.adjacency)
-    for i, j, (u, v) in tri.adjacency:
+    assert tri.adjacency.dtype == np.int64 and tri.adjacency.shape[1] == 4
+    assert tri.adjacency.tolist() == sorted(tri.adjacency.tolist())
+    for i, j, u, v in tri.adjacency.tolist():
         assert u < v
         assert {u, v} <= set(tris[i]) and {u, v} <= set(tris[j])
     # an edge bounding three triangles is not a triangulation
@@ -277,7 +278,7 @@ def test_mesh_determinism():
     a = build_frame_mesh(ts, 1)
     b = build_frame_mesh(ts, 1)
     assert np.array_equal(a.triangles, b.triangles)
-    assert a.adjacency == b.adjacency
+    assert np.array_equal(a.adjacency, b.adjacency)
     assert _dump_mesh(a) == _dump_mesh(b)
 
 

@@ -128,8 +128,14 @@ def _load_resolved_config(path):
     return cli.resolve_config(str(path), {})
 
 
+def _load_trajectories_and_table(path):
+    # every id and frame a load accepts must also pack into the int64 table
+    ts = load_trajectories(path)
+    return ts, ts.observations
+
+
 _CASES = {
-    "trajectories": (load_trajectories, _valid_trajectories()),
+    "trajectories": (_load_trajectories_and_table, _valid_trajectories()),
     "warpfield": (load_warpfield, _valid_warpfield()),
     "config": (_load_resolved_config, _valid_config()),
 }

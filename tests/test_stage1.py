@@ -56,7 +56,7 @@ def naive_objective(prob, ts, meshes, lsm, cfg, xvec):
         inner = set(int(i) for i in mesh.inner)
         pts_o = mesh.points
         ids = mesh.feature_ids
-        for i, j, (u, v) in mesh.adjacency:
+        for i, j, u, v in mesh.adjacency.tolist():
             if i not in inner or j not in inner:
                 continue
             ti, tj = mesh.triangles[i], mesh.triangles[j]

@@ -30,7 +30,7 @@ def naive_frame_objective(mesh, stab_feat, cfg, controls):
             total += cfg.gamma * (d @ d)
 
     neighbors: dict[int, list] = {}
-    for i, j, e in mesh.adjacency:
+    for i, j, *e in mesh.adjacency.tolist():
         neighbors.setdefault(i, []).append((j, e))
         neighbors.setdefault(j, []).append((i, e))
     outer = set(int(x) for x in mesh.outer)
@@ -93,7 +93,7 @@ def scalar_frame_problem(mesh, stab_feat, cfg):
                             (v3, 0, -bb), (v1, 1, -1.0)])
 
     neighbors: dict[int, list] = {}
-    for i, j, e in mesh.adjacency:
+    for i, j, *e in mesh.adjacency.tolist():
         neighbors.setdefault(i, []).append((j, e))
         neighbors.setdefault(j, []).append((i, e))
     for i in sorted(int(x) for x in mesh.outer):
@@ -160,7 +160,7 @@ def test_assembly_matches_scalar_oracle():
     outer_outer = 0
     for mesh in meshes:
         is_outer = np.isin(np.arange(mesh.triangles.shape[0]), mesh.outer)
-        outer_outer += sum(is_outer[i] and is_outer[j] for i, j, _ in mesh.adjacency)
+        outer_outer += sum(is_outer[i] and is_outer[j] for i, j, _, _ in mesh.adjacency.tolist())
         stab = mesh.feature_points + rng.normal(0, 1.0, (mesh.n_features, 2))
         a, b, const = scalar_frame_problem(mesh, stab, cfg)
         prob = s2.assemble_stage2_frame(mesh, stab, cfg)

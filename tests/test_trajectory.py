@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meshstab.errors import ParseError
+from meshstab.stage1 import UnknownIndex
 from meshstab.trajectory import (
     FeatureTrajectory,
     TrajectorySet,
     filter_short,
-    frame_feature_set,
     load_trajectories,
     make_scene_spec,
     save_trajectories,
@@ -17,6 +19,50 @@ from meshstab.trajectory import (
 )
 
 from conftest import random_set
+
+
+def frame_feature_set(ts, t):
+    """All (id, position) pairs alive at frame t, ascending id: the
+    per-trajectory scan that the observation table replaces, kept as its
+    oracle."""
+    out = [(tr.id, tr.points[t - tr.start_frame])
+           for tr in ts.trajectories if tr.alive_at(t)]
+    out.sort(key=lambda p: p[0])
+    return out
+
+
+def _dict_col(ts, tid, t):
+    """x column of (tid, t) in the stacked unknowns: trajectories ascending
+    by id, each one's frames in order, as the former per-id dicts laid it."""
+    offset = 0
+    for tr in sorted(ts.trajectories, key=lambda r: r.id):
+        if tr.id == tid:
+            return 2 * (offset + t - tr.start_frame)
+        offset += len(tr)
+    raise KeyError(tid)
+
+
+def _assert_table_matches_oracle(ts):
+    obs = ts.observations
+    index = UnknownIndex(ts)
+    ids = {tr.id for tr in ts.trajectories}
+    missing = next(i for i in range(len(ids) + 1) if i not in ids)
+    for t in range(ts.frame_count):
+        want = frame_feature_set(ts, t)
+        rows = obs.at(t)
+        assert obs.ids[rows].tolist() == [i for i, _ in want]
+        assert np.array_equal(obs.points[rows], np.reshape([p for _, p in want], (-1, 2)))
+        assert (obs.frames[rows] == t).all()
+        assert np.array_equal(obs.rows(t, obs.ids[rows][::-1]), rows[::-1])
+        assert (2 * rows).tolist() == [_dict_col(ts, i, t) for i, _ in want]
+        assert [index.col(i, t, 1) for i, _ in want] == [_dict_col(ts, i, t) + 1 for i, _ in want]
+        for tid in [tr.id for tr in ts.trajectories if not tr.alive_at(t)] + [missing]:
+            with pytest.raises(IndexError, match=f"trajectory {tid} is not alive"):
+                obs.rows(t, [tid])
+    assert np.array_equal(index.x0, obs.points.ravel())
+    for bad in (-1, ts.frame_count):
+        with pytest.raises(IndexError):
+            obs.at(bad)
 
 
 def _traj(tid, start, length, x0=10.0, y0=20.0):
@@ -39,6 +85,11 @@ def test_trajectory_invariants():
     with pytest.raises(ValueError):
         FeatureTrajectory(id=0, start_frame=0,
                           points=np.array([[0.0, np.nan]]))
+    # ids and frames are packed as int64
+    FeatureTrajectory(id=2**63 - 1, start_frame=2**63 - 2, points=np.zeros((2, 2)))
+    for tid, start in ((2**63, 0), (10**23, 0), (0, 2**63), (0, 2**63 - 1)):
+        with pytest.raises(ValueError, match="int64"):
+            FeatureTrajectory(id=tid, start_frame=start, points=np.zeros((2, 2)))
 
 
 def test_set_rejects_out_of_range_interval():
@@ -50,24 +101,32 @@ def test_set_rejects_out_of_range_interval():
 
 def test_frame_feature_set_single():
     ts = TrajectorySet((_traj(0, 0, 6),), 8, (64, 64))
-    got = frame_feature_set(ts, 3)
-    assert len(got) == 1
-    assert got[0][0] == 0
-    assert np.array_equal(got[0][1], ts.trajectories[0].points[3])
-    assert frame_feature_set(ts, 7) == []
+    obs = ts.observations
+    rows = obs.at(3)
+    assert obs.ids[rows].tolist() == [0]
+    assert np.array_equal(obs.points[rows[0]], ts.trajectories[0].points[3])
+    assert obs.at(7).size == 0
+    _assert_table_matches_oracle(ts)
 
 
 def test_frame_feature_set_staggered_overlap():
     # intervals: id 0 -> [0,4], id 1 -> [3,7], id 2 -> [6,9]
     ts = TrajectorySet(
-        (_traj(0, 0, 5), _traj(1, 3, 5), _traj(2, 6, 4)), 10, (64, 64))
-    assert [i for i, _ in frame_feature_set(ts, 4)] == [0, 1]
-    assert [i for i, _ in frame_feature_set(ts, 6)] == [1, 2]
-    assert [i for i, _ in frame_feature_set(ts, 5)] == [1]
+        (_traj(2, 6, 4), _traj(0, 0, 5), _traj(1, 3, 5)), 10, (64, 64))
+    obs = ts.observations
+    assert obs.ids[obs.at(4)].tolist() == [0, 1]
+    assert obs.ids[obs.at(6)].tolist() == [1, 2]
+    assert obs.ids[obs.at(5)].tolist() == [1]
+    # rows run by id, then frame: row r is unknowns 2r and 2r + 1
+    assert obs.ids.tolist() == [0] * 5 + [1] * 5 + [2] * 4
+    assert obs.frames.tolist() == [*range(0, 5), *range(3, 8), *range(6, 10)]
     with pytest.raises(IndexError):
-        frame_feature_set(ts, 10)
+        obs.at(10)
     with pytest.raises(IndexError):
-        frame_feature_set(ts, -1)
+        obs.at(-1)
+    with pytest.raises(IndexError, match="trajectory 0 is not alive at frame 5"):
+        obs.rows(5, [1, 0])
+    _assert_table_matches_oracle(ts)
 
 
 def test_frame_sizes_sum_to_point_count():
@@ -75,8 +134,28 @@ def test_frame_sizes_sum_to_point_count():
     for _ in range(10):
         ts = random_set(rng, n_traj=6, frame_count=12, staggered=True)
         total = sum(len(tr) for tr in ts.trajectories)
-        by_frame = sum(len(frame_feature_set(ts, t)) for t in range(ts.frame_count))
+        by_frame = sum(ts.observations.at(t).size for t in range(ts.frame_count))
         assert by_frame == total
+        assert by_frame == sum(len(frame_feature_set(ts, t)) for t in range(ts.frame_count))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_traj=st.integers(0, 6), frames=st.integers(6, 14),
+       lead=st.integers(0, 3), tail=st.integers(0, 3),
+       ids=st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6, unique=True))
+# one feature per live frame, with empty frames before and after
+@example(seed=1, n_traj=1, frames=6, lead=2, tail=2, ids=[5, 0, 1, 2, 3, 4])
+# ids up to the int64 limit
+@example(seed=2, n_traj=6, frames=8, lead=0, tail=1, ids=[2**63 - 1, 9, 7, 5, 3, 1])
+def test_observation_table_matches_frame_feature_set(seed, n_traj, frames, lead, tail, ids):
+    """Staggered trajectories, handed over out of id order and shifted so
+    that frames with no feature lead and trail the clip."""
+    rng = np.random.default_rng(seed)
+    base = random_set(rng, n_traj=n_traj, frame_count=frames, staggered=True)
+    trs = [FeatureTrajectory(id=ids[k], start_frame=tr.start_frame + lead, points=tr.points)
+           for k, tr in enumerate(base.trajectories)]
+    trs = [trs[k] for k in rng.permutation(n_traj)]
+    _assert_table_matches_oracle(TrajectorySet(tuple(trs), lead + frames + tail, base.frame_size))
 
 
 def test_filter_short_thresholds():

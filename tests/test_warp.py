@@ -193,7 +193,7 @@ def test_adjacent_triangle_maps_agree_on_shared_edge():
     mesh, fw = meshes[0], field.frames[0]
     pts = mesh.points
     ties = np.linspace(0, 1, 100)[:, None]
-    for i, j, (u, v) in mesh.adjacency:
+    for i, j, u, v in mesh.adjacency.tolist():
         seg = pts[u][None, :] * (1 - ties) + pts[v][None, :] * ties
         ai, aj = fw.affines[i], fw.affines[j]
         pi = seg @ ai[:, :2].T + ai[:, 2]
@@ -242,6 +242,8 @@ def test_flipped_triangles_are_flagged():
         ("1 64 48\n0 0 -1\n", "line 2: negative count"),
         ("1 64 48\n1000000000000 3 0\n", "end of file"),
         ("1 64 48\n1 3 0\n1 0 0 0 1 0 0 1 99999999999999999999\n", "line 3: .* out of range"),
+        ("1 64 48\n1 99999999999999999999 0\n1 0 0 0 1 0 0 1 10000000000000000000\n",
+         "line 2: frame header count beyond the int64 range"),
         ("1 64 48\n0 2 2\n0 0 0 0\n1 1 1 1\n", "line 2: .*at least 3 controls"),
     ],
 )
@@ -349,6 +351,8 @@ def _load_warpfield_lines(path):
             raise ParseError("non-integer frame header field", line=ln) from None
         if min(ntri, nvert, nc) < 0:
             raise ParseError("negative count in frame header", line=ln)
+        if max(ntri, nvert, nc) >= 2**63:  # keeps every index inside int64
+            raise ParseError("frame header count beyond the int64 range", line=ln)
         if n_controls is None:
             n_controls = nc
         elif nc != n_controls:

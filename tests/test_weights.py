@@ -51,6 +51,8 @@ def test_temporal_weight_anchor_values():
     assert abs(temporal_weight(20.0, 10.0) - 1.0 / np.e) <= 1e-12
     with pytest.raises(ValueError):
         temporal_weight(1.0, 0.0)
+    with pytest.raises(ValueError):
+        temporal_weight(1.0, float("nan"))
 
 
 def test_temporal_weight_monotone_and_vectorized():
