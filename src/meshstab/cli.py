@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage, 3 malformed input, 4 solver failure, 5 I/O.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import math
 import sys
@@ -663,7 +664,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB; idempotent.
+
+    glibc otherwise raises its mmap threshold whenever it frees an mmapped
+    block, so whether a subcommand's per-frame arrays (a few hundred KiB)
+    come from the heap or from fresh, page-faulting mmaps would depend on
+    what ran before it in the process.  A no-op without libc.so.6.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -1,13 +1,14 @@
 """Global quadratic smoothing of feature trajectories.
 
-Every energy term is a weighted sum of squared linear residuals in the
-unknown stabilized coordinates, so the whole objective collapses to
+Every energy term is a weighted sum of squared linear residuals
+w (q'x - t)^2 in the unknown stabilized coordinates.  Stacking the rows q
+into one sparse matrix R, with weights W and targets t, collapses the
+whole objective to
 
-    E(x) = x' A x - 2 b' x + c,   A = sum w q q',  b = sum w t q
+    E(x) = x' A x - 2 b' x + c,   A = R' W R,  b = R' W t
 
-over residuals q'x - t with weight w.  A is symmetric positive definite as
-soon as the regularizer is present (it contributes the identity), which
-makes the minimizer the unique solution of A x = b.
+A is symmetric positive definite as soon as the regularizer is present
+(it contributes the identity), so the minimizer solves A x = b.
 
 Terms:
   * first-difference smoothing, per axis, scaled by a falloff in the
@@ -31,7 +32,7 @@ coordinates by intersim_rows and intrasim_rows, which stage 2 shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -52,7 +53,6 @@ __all__ = [
     "StageOneConfig",
     "UnknownIndex",
     "QuadraticProblem",
-    "gram_entries",
     "add_smooth1",
     "add_smooth2",
     "intersim_rows",
@@ -128,32 +128,17 @@ class UnknownIndex:
         return TrajectorySet(trajs, self.frame_count, self.frame_size)
 
 
-def gram_entries(
-    w: np.ndarray, cols: np.ndarray, coefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate-form (i, j, value) entries of sum_r w[r] q_r q_r', where
-    row r of the residuals has coefficients coefs[r] at columns cols[r]."""
-    r, m = cols.shape
-    wcc = w[:, None, None] * (coefs[:, :, None] * coefs[:, None, :])
-    return (np.broadcast_to(cols[:, :, None], (r, m, m)).ravel(),
-            np.broadcast_to(cols[:, None, :], (r, m, m)).ravel(),
-            wcc.ravel())
-
-
 class QuadraticProblem:
     """Accumulates weighted squared residuals sum w (q'x - t)^2.
 
-    Entries are collected in coordinate form and only summed into a CSR
-    matrix when first needed, so assembly cost is linear in the number of
-    residual coefficients.
+    Rows are kept in the batches they came in; they are stacked into R,
+    and A = R' W R is formed, only when the matrix is first needed.
     """
 
     def __init__(self, index: UnknownIndex):
         self.index = index
         self.n = index.n
-        self._ci: list[np.ndarray] = []
-        self._cj: list[np.ndarray] = []
-        self._cv: list[np.ndarray] = []
+        self._rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.b = np.zeros(self.n)
         self.const = 0.0
         self._mat: scipy.sparse.csr_matrix | None = None
@@ -168,13 +153,13 @@ class QuadraticProblem:
         """Add residual rows: weights (R,), cols (R,m) int, coefs (R,m).
 
         Each row r contributes weights[r] * (coefs[r] . x[cols[r]] - t_r)^2.
-        targets defaults to zero.
+        targets defaults to zero.  The arrays are kept until matrix(), not copied.
         """
         cols = np.asarray(cols, dtype=np.int64)
         coefs = np.asarray(coefs, dtype=np.float64)
         if cols.ndim != 2 or cols.shape != coefs.shape:
             raise ValueError(f"cols/coefs shape mismatch: {cols.shape} vs {coefs.shape}")
-        r, m = cols.shape
+        r = cols.shape[0]
         if r == 0:
             return
         w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (r,))
@@ -185,10 +170,7 @@ class QuadraticProblem:
         if cols.min() < 0 or cols.max() >= self.n:
             raise IndexError("residual column out of range")
 
-        i, j, v = gram_entries(w, cols, coefs)
-        self._ci.append(i)
-        self._cj.append(j)
-        self._cv.append(v)
+        self._rows.append((w, cols, coefs))
         if targets is not None:
             t = np.broadcast_to(np.asarray(targets, dtype=np.float64), (r,))
             if not np.all(np.isfinite(t)):
@@ -199,15 +181,19 @@ class QuadraticProblem:
 
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self._mat is None:
-            if self._ci:
-                i = np.concatenate(self._ci)
-                j = np.concatenate(self._cj)
-                v = np.concatenate(self._cv)
-            else:
-                i = j = np.zeros(0, dtype=np.int64)
-                v = np.zeros(0)
-            mat = scipy.sparse.coo_matrix((v, (i, j)), shape=(self.n, self.n))
-            self._mat = mat.tocsr()
+            if not self._rows:
+                return scipy.sparse.csr_matrix((self.n, self.n))
+            w, cols, coefs = zip(*self._rows)
+            widths = np.repeat([k.shape[1] for k in cols], [k.shape[0] for k in cols])
+            r = scipy.sparse.csr_matrix(
+                (np.concatenate([c.ravel() for c in coefs]),
+                 np.concatenate([k.ravel() for k in cols]),
+                 np.concatenate([[0], np.cumsum(widths)])),
+                shape=(widths.size, self.n),
+            )
+            wr = r.copy()
+            wr.data *= np.repeat(np.concatenate(w), widths)
+            self._mat = (r.T @ wr).tocsr()
         return self._mat
 
     def objective(self, x: np.ndarray) -> float:
@@ -294,35 +280,25 @@ def add_smooth1(prob: QuadraticProblem, ts: TrajectorySet, cfg: StageOneConfig) 
     The falloff argument is the magnitude of the observed step on that
     axis; large intentional motion therefore weakens its own smoothing.
     """
-    sigma = cfg.temporal.sigma
-    for tr in ts.trajectories:
-        ln = len(tr)
-        if ln < 2:
-            continue
-        base = prob.index.base(tr.id)
-        steps = 2 * np.arange(ln - 1, dtype=np.int64)
-        for axis in (0, 1):
-            d = np.abs(np.diff(tr.points[:, axis]))
-            w = cfg.alpha * temporal_weight(d, sigma)
-            c0 = base + axis + steps
-            cols = np.column_stack([c0 + 2, c0])
-            coefs = np.broadcast_to(np.array([1.0, -1.0]), (ln - 1, 2))
-            prob.add_batch(w, cols, coefs)
+    obs = ts.observations
+    # table rows r and r + 1 of one id are consecutive frames
+    r = np.nonzero(obs.ids[1:] == obs.ids[:-1])[0]
+    for axis in (0, 1):
+        d = np.abs(obs.points[r + 1, axis] - obs.points[r, axis])
+        w = cfg.alpha * temporal_weight(d, cfg.temporal.sigma)
+        c0 = 2 * r + axis
+        prob.add_batch(w, np.column_stack([c0 + 2, c0]),
+                       np.broadcast_to([1.0, -1.0], (r.size, 2)))
 
 
 def add_smooth2(prob: QuadraticProblem, ts: TrajectorySet, cfg: StageOneConfig) -> None:
     """Second-difference (constant velocity) smoothing, per axis."""
-    for tr in ts.trajectories:
-        ln = len(tr)
-        if ln < 3:
-            continue
-        base = prob.index.base(tr.id)
-        steps = 2 * np.arange(ln - 2, dtype=np.int64)
-        for axis in (0, 1):
-            c0 = base + axis + steps
-            cols = np.column_stack([c0, c0 + 2, c0 + 4])
-            coefs = np.broadcast_to(np.array([1.0, -2.0, 1.0]), (ln - 2, 3))
-            prob.add_batch(cfg.beta, cols, coefs)
+    obs = ts.observations
+    r = np.nonzero(obs.ids[2:] == obs.ids[:-2])[0]
+    for axis in (0, 1):
+        c0 = 2 * r + axis
+        prob.add_batch(cfg.beta, np.column_stack([c0, c0 + 2, c0 + 4]),
+                       np.broadcast_to([1.0, -2.0, 1.0], (r.size, 3)))
 
 
 def add_reg(prob: QuadraticProblem, ts: TrajectorySet, weight: float = 1.0) -> None:

@@ -8,14 +8,14 @@ similarity reconstruction over the outer triangles, weighted gamma, and
 barycentric consistency over every adjacent pair touching an outer
 triangle, weighted epsilon once per outer triangle in the pair.
 
-The rows are built over all 2(F+C) vertex coordinates of the frame, F
-features first, and summed into one dense quadratic form A.  Splitting A
-at 2F into feature and control blocks and substituting the stabilized
-feature coordinates f leaves a dense 2C-unknown problem per frame,
+The rows R, with weights W, are built over all 2(F+C) vertex coordinates
+of the frame, F features first, and split at column 2F: R = [R_f R_c].
+The stabilized feature coordinates f are fixed, so each row's feature part
+is a value s = R_f f, which leaves a dense 2C-unknown problem per frame,
 
-    E(x) = x' A_cc x + 2 x' A_cf f + f' A_ff f,
+    E(x) = x' A x - 2 b' x + const,   A = R_c' W R_c,   b = -R_c' W s,   const = s' W s,
 
-solved by Cholesky.  Frames are independent of each other.
+formed from the rows scaled by W^1/2 and solved by Cholesky.  Frames are independent of each other.
 
 There is no tie to original control positions, so a frame without enough
 fixed anchors (fewer than 2 non-coincident features) leaves a similarity
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import FrameMesh
-from .stage1 import StageOneConfig, gram_entries, intersim_rows, intrasim_rows
+from .stage1 import StageOneConfig, intersim_rows, intrasim_rows
 from .trajectory import TrajectorySet
 
 __all__ = [
@@ -64,12 +64,6 @@ class StageTwoFrameProblem:
         return float(x @ (self.a @ x) - 2.0 * (self.b @ x) + self.const)
 
 
-def _gram(n: int, k: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Dense n x n sum over rows r of w[r] q_r q_r', q_r = c[r] at k[r]."""
-    i, j, v = gram_entries(w, k, c)
-    return np.bincount(i * n + j, v, minlength=n * n).reshape(n, n)
-
-
 def assemble_stage2_frame(
     mesh: FrameMesh,
     stab_feat: np.ndarray,
@@ -86,17 +80,21 @@ def assemble_stage2_frame(
     pairs = mesh.adjacency
     n_outer = np.isin(pairs[:, :2], mesh.outer).sum(axis=1)
     touching = n_outer > 0
-    k1, c1 = intersim_rows(mesh, mesh.outer)
-    k2, c2 = intrasim_rows(mesh, pairs[touching])
-    a = (_gram(n, k1, c1, np.full(k1.shape[0], cfg.gamma))
-         + _gram(n, k2, c2, np.repeat(cfg.epsilon * n_outer[touching], 4)))
     nf = 2 * mesh.n_features
-    f = stab_feat.ravel()
-    return StageTwoFrameProblem(
-        a=a[nf:, nf:].copy(),
-        b=-(a[nf:, :nf] @ f),
-        const=float(f @ (a[:nf, :nf] @ f)),
-    )
+    fz = np.zeros(n)  # f, then zeros for the controls
+    fz[:nf] = stab_feat.ravel()
+    sw = np.sqrt(np.concatenate([np.full(6 * mesh.outer.size, cfg.gamma),
+                                 np.repeat(cfg.epsilon * n_outer[touching], 4)]))
+    sr, ss = np.zeros((sw.size, n - nf)), np.empty(sw.size)  # W^1/2 R_c and W^1/2 s
+    lo = 0
+    for k, c in (intersim_rows(mesh, mesh.outer), intrasim_rows(mesh, pairs[touching])):
+        hi = lo + k.shape[0]
+        c = c * sw[lo:hi, None]
+        row, j = np.nonzero(k >= nf)
+        sr[lo + row, k[row, j] - nf] = c[row, j]
+        ss[lo:hi] = (c * fz[k]).sum(axis=1)
+        lo = hi
+    return StageTwoFrameProblem(a=sr.T @ sr, b=-(sr.T @ ss), const=float(ss @ ss))
 
 
 def solve_frame(prob: StageTwoFrameProblem) -> np.ndarray | None:

@@ -49,7 +49,7 @@ class FeatureTrajectory:
     """One feature point tracked over frames [start_frame, end_frame].
 
     points has shape (length, 2); row k is the position at frame
-    start_frame + k.
+    start_frame + k.  Every invariant error names the trajectory's id.
     """
 
     id: int
@@ -60,12 +60,12 @@ class FeatureTrajectory:
         if self.id < 0:
             raise ValueError(f"trajectory id must be >= 0, got {self.id}")
         if self.start_frame < 0:
-            raise ValueError(f"start_frame must be >= 0, got {self.start_frame}")
+            raise ValueError(f"trajectory {self.id}: start_frame {self.start_frame} < 0")
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must have shape (n>=1, 2), got {pts.shape}")
+            raise ValueError(f"trajectory {self.id}: points must be (n>=1, 2), got {pts.shape}")
         if max(self.id, self.start_frame + pts.shape[0] - 1) > _INT64_MAX:
-            raise ValueError("id or frames beyond the int64 range")
+            raise ValueError(f"trajectory {self.id}: id or frames beyond the int64 range")
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"trajectory {self.id}: non-finite coordinates")
         pts = pts.copy()
@@ -115,6 +115,8 @@ class TrajectorySet:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
         if w < 2 or h < 2:
             raise ValueError(f"frame_size must be at least 2x2, got {w}x{h}")
+        if max(self.frame_count, w, h) > _INT64_MAX:
+            raise ValueError("frame_count or frame_size beyond the int64 range")
         seen: set[int] = set()
         for tr in self.trajectories:
             if tr.id in seen:
@@ -247,6 +249,10 @@ def load_trajectories(path: str | Path) -> TrajectorySet:
         frame_count, width, height = (int(v) for v in head)
     except ValueError:
         raise ParseError(f"non-integer header field in {lines[0]!r}", line=1) from None
+    try:
+        TrajectorySet((), frame_count, (width, height))  # the header's own checks
+    except ValueError as exc:
+        raise ParseError(str(exc), line=1) from None
     trajectories = []
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -273,7 +279,7 @@ def load_trajectories(path: str | Path) -> TrajectorySet:
         try:
             trajectories.append(FeatureTrajectory(id=tid, start_frame=start, points=pts))
         except ValueError as exc:
-            raise ParseError(f"trajectory {tid}: {exc}", line=ln) from None
+            raise ParseError(str(exc), line=ln) from None
     try:
         return TrajectorySet(tuple(trajectories), frame_count, (width, height))
     except ValueError as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,26 @@ def test_bad_config_value_exits_three(tmp_path, caplog):
                          "--set", f"{key}=nan", "--set", "dense_cutoff=0"])
         assert code == 3
         assert key in caplog.text
+
+
+def test_malloc_pin_falls_back_without_glibc(monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert cli.main(["defaults"]) == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli.main(["defaults"]) == 0
+    assert cli.main(["defaults"]) == 0
+    assert "alpha" in capsys.readouterr().out
 
 
 def test_trajectory_id_beyond_int64_exits_three(tmp_path, caplog):

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstab import stage1 as s1
 from meshstab.errors import SolverError
@@ -71,6 +74,104 @@ def naive_objective(prob, ts, meshes, lsm, cfg, xvec):
                 d = rec - pt(int(ids[opp]), mesh.frame)
                 total += cfg.epsilon * (d @ d)
     return total
+
+
+def gram_entries(w, cols, coefs):
+    """Coordinate-form (i, j, value) entries of sum_r w[r] q_r q_r', where
+    row r of the residuals has coefficients coefs[r] at columns cols[r]."""
+    r, m = cols.shape
+    wcc = w[:, None, None] * (coefs[:, :, None] * coefs[:, None, :])
+    return (np.broadcast_to(cols[:, :, None], (r, m, m)).ravel(),
+            np.broadcast_to(cols[:, None, :], (r, m, m)).ravel(),
+            wcc.ravel())
+
+
+class CooProblem:
+    """The former stage-1 accumulator, kept as the oracle of A = R'WR:
+    every residual row is expanded into its m x m Gram entries as it
+    arrives, and the entries are summed from coordinate form.  |entries|
+    are summed alongside, the scale each entry's rounding is judged by."""
+
+    def __init__(self, index):
+        self.index, self.n = index, index.n
+        self.entries = []
+        self.b = np.zeros(self.n)
+        self.const = 0.0
+
+    def add_batch(self, weights, cols, coefs, targets=None):
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=np.float64)
+        w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (cols.shape[0],))
+        self.entries.append(gram_entries(w, cols, coefs))
+        if targets is not None:
+            t = np.broadcast_to(np.asarray(targets, dtype=np.float64), w.shape)
+            np.add.at(self.b, cols.ravel(), ((w * t)[:, None] * coefs).ravel())
+            self.const += float(w @ (t * t))
+
+    def dense(self, absolute=False):
+        i, j, v = (np.concatenate(e) for e in zip(*self.entries))
+        v = np.abs(v) if absolute else v
+        return scipy.sparse.coo_matrix((v, (i, j)), shape=(self.n, self.n)).toarray()
+
+
+def smooth1_per_trajectory(prob, ts, cfg):
+    """The former add_smooth1: one add_batch call per trajectory and axis."""
+    for tr in ts.trajectories:
+        ln = len(tr)
+        if ln < 2:
+            continue
+        base = prob.index.base(tr.id)
+        steps = 2 * np.arange(ln - 1, dtype=np.int64)
+        for axis in (0, 1):
+            d = np.abs(np.diff(tr.points[:, axis]))
+            w = cfg.alpha * temporal_weight(d, cfg.temporal.sigma)
+            c0 = base + axis + steps
+            prob.add_batch(w, np.column_stack([c0 + 2, c0]),
+                           np.broadcast_to(np.array([1.0, -1.0]), (ln - 1, 2)))
+
+
+def smooth2_per_trajectory(prob, ts, cfg):
+    """The former add_smooth2: one add_batch call per trajectory and axis."""
+    for tr in ts.trajectories:
+        ln = len(tr)
+        if ln < 3:
+            continue
+        base = prob.index.base(tr.id)
+        steps = 2 * np.arange(ln - 2, dtype=np.int64)
+        for axis in (0, 1):
+            c0 = base + axis + steps
+            prob.add_batch(cfg.beta, np.column_stack([c0, c0 + 2, c0 + 4]),
+                           np.broadcast_to(np.array([1.0, -2.0, 1.0]), (ln - 2, 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_traj=st.integers(1, 6), frames=st.integers(6, 10),
+       cut=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+       ids=st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6, unique=True))
+def test_matrix_matches_coo_oracle(seed, n_traj, frames, cut, ids):
+    """Staggered trajectories, some cut to 1 or 2 frames (cut[k] > 0),
+    handed over out of id order."""
+    rng = np.random.default_rng(seed)
+    base = random_set(rng, n_traj=n_traj, frame_count=frames, staggered=True)
+    trs = [FeatureTrajectory(id=ids[k], start_frame=tr.start_frame,
+                             points=tr.points[:cut[k] or None])
+           for k, tr in enumerate(base.trajectories)]
+    ts = TrajectorySet(tuple(trs[k] for k in rng.permutation(n_traj)), frames,
+                       base.frame_size)
+    meshes, lsm, cfg = build_all_meshes(ts), build_lsm_table(ts), s1.StageOneConfig()
+    prob = s1.assemble_stage1(ts, meshes, lsm, cfg)
+    oracle = CooProblem(s1.UnknownIndex(ts))
+    s1.add_reg(oracle, ts)
+    smooth1_per_trajectory(oracle, ts, cfg)
+    smooth2_per_trajectory(oracle, ts, cfg)
+    s1.add_intersim(oracle, ts, meshes, lsm, cfg)
+    s1.add_intrasim(oracle, ts, meshes, cfg)
+    # entrywise, against the sum of |terms|: an entry whose terms cancel to
+    # an exact zero is stored by the COO sum and dropped by the product
+    err = np.abs(prob.matrix().toarray() - oracle.dense())
+    assert np.all(err <= 1e-12 * oracle.dense(absolute=True))
+    assert np.abs(prob.b - oracle.b).max() <= 1e-12 * np.abs(oracle.b).max()
+    assert abs(prob.const - oracle.const) <= 1e-12 * abs(oracle.const)
 
 
 def _instance(rng, staggered=False):

@@ -237,6 +237,19 @@ def test_load_parse_errors_carry_line_numbers(tmp_path):
     p3.write_text("4 64 64\n0 0 1.0 2.0 3.0\n")
     with pytest.raises(ParseError, match="odd coordinate count"):
         load_trajectories(p3)
+    # FeatureTrajectory's own message already names the id; it is not repeated
+    p4 = tmp_path / "nan.txt"
+    p4.write_text("4 64 64\n3 0 1.0 nan 2.0 3.0\n")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(p4)
+    assert str(err.value) == "line 2: trajectory 3: non-finite coordinates"
+    # a header field beyond int64 is the header's fault, not the tracks'
+    p5 = tmp_path / "wide.txt"
+    p5.write_text("4 99999999999999999999 48\n" + "".join(
+        f"{i} 0 " + " ".join(["10.0", f"{10.0 + 5 * i}"] * 5) + "\n" for i in range(3)))
+    with pytest.raises(ParseError, match="line 1: .*int64") as err:
+        load_trajectories(p5)
+    assert err.value.line == 1
 
 
 def test_synthesize_zero_jitter_identity():
