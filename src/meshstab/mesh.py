@@ -55,10 +55,10 @@ def make_control_points(width: int, height: int, per_edge: int = 10) -> np.ndarr
     right, right edge downwards, bottom edge right to left, left edge
     upwards; the ring starts at (0, 0).
     """
-    if per_edge < 2:
-        raise ValueError(f"per_edge must be >= 2, got {per_edge}")
     if width < 2 or height < 2:
         raise ValueError(f"frame must be at least 2x2, got {width}x{height}")
+    if not 2 <= per_edge <= min(width, height):  # at most one point per pixel of a side
+        raise ValueError(f"per_edge must be in [2, {min(width, height)}], got {per_edge}")
     xs = np.linspace(0.0, width - 1.0, per_edge)
     ys = np.linspace(0.0, height - 1.0, per_edge)
     ring: list[tuple[float, float]] = []

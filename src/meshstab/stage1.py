@@ -129,15 +129,16 @@ class UnknownIndex:
 
 
 class QuadraticProblem:
-    """Accumulates weighted squared residuals sum w (q'x - t)^2.
+    """Accumulates weighted squared residuals sum w (q'x - t)^2 over n unknowns.
 
     Rows are kept in the batches they came in; they are stacked into R,
     and A = R' W R is formed, only when the matrix is first needed.
+    Stage 1 attaches the UnknownIndex its columns follow; stage 2 has none.
     """
 
-    def __init__(self, index: UnknownIndex):
+    def __init__(self, n: int, index: UnknownIndex | None = None):
         self.index = index
-        self.n = index.n
+        self.n = n
         self._rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.b = np.zeros(self.n)
         self.const = 0.0
@@ -428,7 +429,8 @@ def assemble_stage1(
         raise ValueError(
             f"expected {ts.frame_count} meshes, got {len(meshes)}"
         )
-    prob = QuadraticProblem(UnknownIndex(ts))
+    index = UnknownIndex(ts)
+    prob = QuadraticProblem(index.n, index)
     add_reg(prob, ts)
     add_smooth1(prob, ts, cfg)
     add_smooth2(prob, ts, cfg)

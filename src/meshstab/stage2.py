@@ -8,14 +8,13 @@ similarity reconstruction over the outer triangles, weighted gamma, and
 barycentric consistency over every adjacent pair touching an outer
 triangle, weighted epsilon once per outer triangle in the pair.
 
-The rows R, with weights W, are built over all 2(F+C) vertex coordinates
-of the frame, F features first, and split at column 2F: R = [R_f R_c].
-The stabilized feature coordinates f are fixed, so each row's feature part
-is a value s = R_f f, which leaves a dense 2C-unknown problem per frame,
-
-    E(x) = x' A x - 2 b' x + const,   A = R_c' W R_c,   b = -R_c' W s,   const = s' W s,
-
-formed from the rows scaled by W^1/2 and solved by Cholesky.  Frames are independent of each other.
+The stabilized features f are fixed, so each row's feature part q_f folds
+into its target, t = -q_f' f, leaving w (q_c' x - t)^2 over the frame's 2C
+controls x.  The rows go through stage 1's accumulator, QuadraticProblem,
+with frame s of a chunk of frames owning columns s*2C .. s*2C + 2C - 1, so
+A = R' W R is block diagonal.  Its blocks are stacked as (frames, 2C, 2C)
+for one batched eigenvalue test and one batched Cholesky solve.  A chunk
+holds as many frames as fit CHUNK_ENTRIES block entries, at least one.
 
 There is no tie to original control positions, so a frame without enough
 fixed anchors (fewer than 2 non-coincident features) leaves a similarity
@@ -31,82 +30,85 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import FrameMesh
-from .stage1 import StageOneConfig, intersim_rows, intrasim_rows
+from .stage1 import QuadraticProblem, StageOneConfig, intersim_rows, intrasim_rows
 from .trajectory import TrajectorySet
 
-__all__ = [
-    "StageTwoFrameProblem",
-    "StabilizedControlPoints",
-    "assemble_stage2_frame",
-    "solve_frame",
-    "solve_stage2",
-]
+__all__ = ["StabilizedControlPoints", "assemble_stage2_frame", "solve_frame", "solve_stage2"]
 
 SINGULAR_EIG_RATIO = 1e-10
+CHUNK_ENTRIES = 1 << 19  # float64 entries of one chunk's stacked blocks
 
 
-@dataclass(frozen=True)
-class StageTwoFrameProblem:
-    """One frame's objective x' a x - 2 b' x + const over its controls.
+def _frame_rows(mesh: FrameMesh, stab_feat: np.ndarray, cfg: StageOneConfig,
+                first_col: int) -> list[tuple[np.ndarray, ...]]:
+    """Both outer terms of one frame as (weights, cols, coefs, targets) each.
 
-    x stacks the control points as (c0x, c0y, c1x, c1y, ...).
+    Control coordinate k >= 2F is column first_col + k - 2F; feature
+    entries are folded into the targets and keep coefficient 0.
     """
+    stab_feat = np.asarray(stab_feat, dtype=np.float64)
+    if stab_feat.shape != (mesh.n_features, 2):
+        raise ValueError(f"stabilized features shape {stab_feat.shape} does not match "
+                         f"mesh with {mesh.n_features} features")
+    pairs = mesh.adjacency
+    n_outer = np.isin(pairs[:, :2], mesh.outer).sum(axis=1)
+    touching = n_outer > 0
+    nf = 2 * mesh.n_features
+    fz = np.zeros(2 * mesh.points.shape[0])  # f, then zeros for the controls
+    fz[:nf] = stab_feat.ravel()
+    out = []
+    for w, (k, c) in ((cfg.gamma, intersim_rows(mesh, mesh.outer)),
+                      (np.repeat(cfg.epsilon * n_outer[touching], 4),
+                       intrasim_rows(mesh, pairs[touching]))):
+        ctrl = k >= nf
+        out.append((np.broadcast_to(w, k.shape[:1]), first_col + np.where(ctrl, k - nf, 0),
+                    np.where(ctrl, c, 0.0), -(c * fz[k]).sum(axis=1)))
+    return out
 
-    a: np.ndarray
-    b: np.ndarray
-    const: float
 
-    @property
-    def n(self) -> int:
-        return int(self.b.shape[0])
+def _solve_blocks(prob: QuadraticProblem, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizers of a block-diagonal problem, one per m-square block.
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(x @ (self.a @ x) - 2.0 * (self.b @ x) + self.const)
+    Returns x (blocks, m) and whether each block was solved; a singular
+    block's x is left at 0.
+    """
+    a = prob.matrix().tocoo()
+    blocks = np.zeros((prob.n // m, m, m))
+    blocks[a.row // m, a.row % m, a.col % m] = a.data
+    b = prob.b.reshape(-1, m, 1)
+    eig = np.linalg.eigvalsh(blocks)
+    ok = ~(eig[:, 0] <= SINGULAR_EIG_RATIO * np.maximum(eig[:, -1], np.finfo(np.float64).tiny))
+    x = np.zeros_like(b)
+    idx = np.nonzero(ok)[0]
+    try:
+        if idx.size:
+            x[idx] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(blocks[idx]), b[idx])
+    except np.linalg.LinAlgError:
+        # the batch does not say which block failed: redo them one by one
+        for i in idx:
+            try:
+                x[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(blocks[i]), b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return x[..., 0], ok
 
 
 def assemble_stage2_frame(
     mesh: FrameMesh,
     stab_feat: np.ndarray,
     cfg: StageOneConfig = StageOneConfig(),
-) -> StageTwoFrameProblem:
-    """Both outer terms for one frame; gamma/epsilon reuse stage-1 values."""
-    stab_feat = np.asarray(stab_feat, dtype=np.float64)
-    if stab_feat.shape != (mesh.n_features, 2):
-        raise ValueError(
-            f"stabilized features shape {stab_feat.shape} does not match "
-            f"mesh with {mesh.n_features} features"
-        )
-    n = 2 * mesh.points.shape[0]
-    pairs = mesh.adjacency
-    n_outer = np.isin(pairs[:, :2], mesh.outer).sum(axis=1)
-    touching = n_outer > 0
-    nf = 2 * mesh.n_features
-    fz = np.zeros(n)  # f, then zeros for the controls
-    fz[:nf] = stab_feat.ravel()
-    sw = np.sqrt(np.concatenate([np.full(6 * mesh.outer.size, cfg.gamma),
-                                 np.repeat(cfg.epsilon * n_outer[touching], 4)]))
-    sr, ss = np.zeros((sw.size, n - nf)), np.empty(sw.size)  # W^1/2 R_c and W^1/2 s
-    lo = 0
-    for k, c in (intersim_rows(mesh, mesh.outer), intrasim_rows(mesh, pairs[touching])):
-        hi = lo + k.shape[0]
-        c = c * sw[lo:hi, None]
-        row, j = np.nonzero(k >= nf)
-        sr[lo + row, k[row, j] - nf] = c[row, j]
-        ss[lo:hi] = (c * fz[k]).sum(axis=1)
-        lo = hi
-    return StageTwoFrameProblem(a=sr.T @ sr, b=-(sr.T @ ss), const=float(ss @ ss))
+) -> QuadraticProblem:
+    """One frame's problem over its 2C controls, x = (c0x, c0y, c1x, ...)."""
+    prob = QuadraticProblem(2 * mesh.control_points.shape[0])
+    for rows in _frame_rows(mesh, stab_feat, cfg, 0):
+        prob.add_batch(*rows)
+    return prob
 
 
-def solve_frame(prob: StageTwoFrameProblem) -> np.ndarray | None:
-    """Minimizer of the frame problem, or None when the system is singular."""
-    eig = np.linalg.eigvalsh(prob.a)
-    if eig[0] <= SINGULAR_EIG_RATIO * max(eig[-1], np.finfo(np.float64).tiny):
-        return None
-    try:
-        cf = scipy.linalg.cho_factor(prob.a)
-    except np.linalg.LinAlgError:
-        return None
-    return scipy.linalg.cho_solve(cf, prob.b)
+def solve_frame(prob: QuadraticProblem) -> np.ndarray | None:
+    """Minimizer of a one-frame problem, or None when the system is singular."""
+    x, ok = _solve_blocks(prob, prob.n)
+    return x[0] if ok[0] else None
 
 
 @dataclass(frozen=True)
@@ -122,23 +124,27 @@ def solve_stage2(
     stabilized_features: TrajectorySet,
     cfg: StageOneConfig = StageOneConfig(),
 ) -> StabilizedControlPoints:
-    """Solve every frame independently.
+    """Solve every frame, one batched solve per chunk of frames.
 
     Frames whose system is singular (too few anchoring features) keep
     their original control points and are reported in fallback_frames.
     """
     obs = stabilized_features.observations
-    out = []
+    points = []
     fallback: list[int] = []
-    for mesh in meshes:
-        stab_feat = obs.points[obs.rows(mesh.frame, mesh.feature_ids)]
-        prob = assemble_stage2_frame(mesh, stab_feat, cfg)
-        x = solve_frame(prob)
-        if x is None:
-            fallback.append(mesh.frame)
-            out.append(mesh.control_points.copy())
-        else:
-            out.append(x.reshape(-1, 2))
+    m = meshes[0].control_points.size  # 2C unknowns, the same in every frame
+    step = max(1, CHUNK_ENTRIES // (m * m))
+    for lo in range(0, len(meshes), step):
+        chunk = meshes[lo:lo + step]
+        ctrl = np.array([mesh.control_points for mesh in chunk]).reshape(len(chunk), m // 2, 2)
+        prob = QuadraticProblem(m * len(chunk))
+        rows = [_frame_rows(mesh, obs.points[obs.rows(mesh.frame, mesh.feature_ids)], cfg, s * m)
+                for s, mesh in enumerate(chunk)]
+        for term in zip(*rows):
+            prob.add_batch(*(np.concatenate(part) for part in zip(*term)))
+        x, ok = _solve_blocks(prob, m)
+        points.append(np.where(ok[:, None, None], x.reshape(ctrl.shape), ctrl))
+        fallback += [mesh.frame for mesh, solved in zip(chunk, ok) if not solved]
     return StabilizedControlPoints(
-        points=np.array(out), fallback_frames=tuple(fallback)
+        points=np.concatenate(points), fallback_frames=tuple(fallback)
     )

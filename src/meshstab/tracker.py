@@ -2,8 +2,8 @@
 
 Detection scores pixels by the minimum eigenvalue of the local gradient
 structure tensor, keeps the strongest corners globally, then tops up every
-grid cell whose count fell short by relaxing that cell's threshold, so
-low-texture regions still contribute mesh vertices.
+grid cell whose count fell short with that cell's best remaining
+responses, so low-texture regions still contribute mesh vertices.
 
 Tracking is translational iterative flow refined coarse-to-fine over an
 image pyramid, with a forward-backward consistency check.  A point is lost
@@ -41,7 +41,7 @@ class TrackerConfig:
     min_per_cell: int = 1
     response_radius: int = 3          # 7x7 structure tensor window
     global_thresh_ratio: float = 0.01  # of the maximum response
-    cell_relax: float = 0.1            # per-cell threshold relaxation factor
+    cell_relax: float = 0.1            # no effect on the corners; see _top_up_cells
     window: int = 21                   # flow window side length
     pyramid_levels: int = 3
     max_iterations: int = 30
@@ -93,6 +93,10 @@ def _check_frame(frame: GrayFrame) -> None:
 def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> list[np.ndarray]:
     """Detect corner points, sorted by descending score then row-major position."""
     _check_frame(frame)
+    # a grid finer than the pixels has cells no pixel falls in
+    for name, side in (("grid_cols", frame.width), ("grid_rows", frame.height)):
+        if getattr(cfg, name) > side:
+            raise ValueError(f"{name} must be <= the frame side {side}, got {getattr(cfg, name)}")
     resp = kernels.corner_min_eig(frame.data, cfg.response_radius)
     peak = float(resp.max())
     if peak <= 0.0:
@@ -104,50 +108,31 @@ def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> li
     order = np.lexsort((xs, ys, -scores))
     ys, xs, scores = ys[order], xs[order], scores[order]
 
-    thr = cfg.global_thresh_ratio * peak
-    chosen = np.zeros(len(scores), dtype=bool)
-    n_global = 0
-    for i in range(len(scores)):
-        if scores[i] < thr:
-            break
-        chosen[i] = True
-        n_global += 1
-        if n_global >= cfg.corner_target:
-            break
-
-    # top up starved grid cells with a relaxed threshold; if even that finds
-    # nothing, take the cell's best positive responses so only truly flat
-    # cells stay empty
-    w, h = frame.width, frame.height
-    cell_x = np.minimum((xs * cfg.grid_cols) // w, cfg.grid_cols - 1)
-    cell_y = np.minimum((ys * cfg.grid_rows) // h, cfg.grid_rows - 1)
-    relaxed = thr * cfg.cell_relax
-    for cy in range(cfg.grid_rows):
-        for cx in range(cfg.grid_cols):
-            in_cell = np.nonzero((cell_x == cx) & (cell_y == cy))[0]
-            if len(in_cell) == 0:
-                continue
-            have = int(chosen[in_cell].sum())
-            if have >= cfg.min_per_cell:
-                continue
-            for i in in_cell:  # already sorted by score
-                if have >= cfg.min_per_cell:
-                    break
-                if not chosen[i] and scores[i] >= relaxed:
-                    chosen[i] = True
-                    have += 1
-            if have < cfg.min_per_cell:
-                # even the relaxed threshold found nothing usable; take the
-                # cell's best positive responses so only flat cells stay empty
-                for i in in_cell:
-                    if have >= cfg.min_per_cell:
-                        break
-                    if not chosen[i]:
-                        chosen[i] = True
-                        have += 1
+    # the strongest corners above the global threshold, then the grid top-up
+    n_global = min(cfg.corner_target, int((scores >= cfg.global_thresh_ratio * peak).sum()))
+    chosen = np.arange(scores.size) < n_global
+    cell_x = np.minimum((xs * cfg.grid_cols) // frame.width, cfg.grid_cols - 1)
+    cell_y = np.minimum((ys * cfg.grid_rows) // frame.height, cfg.grid_rows - 1)
+    _top_up_cells(cell_y * cfg.grid_cols + cell_x, chosen, cfg.min_per_cell)
 
     idx = np.nonzero(chosen)[0]
     return [np.array([float(xs[i]), float(ys[i])]) for i in idx]
+
+
+def _top_up_cells(cell: np.ndarray, chosen: np.ndarray, min_per_cell: int) -> None:
+    """Choose, in each cell short of min_per_cell, its best unchosen candidates.
+
+    Candidates come in descending score order, all of them positive.  A
+    cell's best remaining candidates are also the ones a relaxed threshold
+    would pass first, so cell_relax does not change which are chosen.
+    """
+    have = np.bincount(cell[chosen], minlength=int(cell.max(initial=0)) + 1)
+    free = np.nonzero(~chosen)[0]
+    free = free[np.argsort(cell[free], kind="stable")]  # by cell, then score
+    c = cell[free]
+    rank = np.arange(c.size) - np.searchsorted(c, c)  # place within its cell
+    need = min(min_per_cell, cell.size) - have[c]  # capped: a huge min_per_cell overflows int64
+    chosen[free[rank < need]] = True
 
 
 # --- pyramids ---
@@ -166,11 +151,13 @@ def _build_pyramid(data: np.ndarray, levels: int) -> list[np.ndarray]:
     return pyr
 
 
-def _usable_levels(shape: tuple[int, int], cfg: TrackerConfig) -> list[int]:
-    h, w = shape
-    need = cfg.window + 2
-    return [lv for lv in range(cfg.pyramid_levels)
-            if min(h, w) // (1 << lv) >= need]
+def _usable_levels(shape: tuple[int, int], cfg: TrackerConfig) -> int:
+    """How many levels, from level 0 up, keep both sides >= window + 2 px.
+
+    Level lv has sides side // 2**lv, which is >= need exactly when
+    2**lv <= side // need.
+    """
+    return min(cfg.pyramid_levels, (min(shape) // (cfg.window + 2)).bit_length())
 
 
 def _track_direction(
@@ -188,7 +175,7 @@ def _track_direction(
     if not levels:
         return disp, np.zeros(n, dtype=np.uint8)
     radius = cfg.window // 2
-    for pos, lv in enumerate(sorted(levels, reverse=True)):
+    for lv in range(levels - 1, -1, -1):
         scale = 1.0 / (1 << lv)
         gx, gy = grad_pyr[lv]
         kernels.lk_refine_level(
@@ -198,7 +185,7 @@ def _track_direction(
             cfg.min_eig_threshold, strict=(lv == 0),
             windows=None if windows is None else windows[lv],
         )
-        if pos != len(levels) - 1:
+        if lv:
             disp *= 2.0
     return disp, status
 
@@ -222,7 +209,8 @@ class FrameCache:
 
 
 def _pyramid_and_gradients(frame: GrayFrame, cfg: TrackerConfig):
-    pyr = _build_pyramid(frame.data, cfg.pyramid_levels)
+    # levels past the usable ones are never read; level 0 always is
+    pyr = _build_pyramid(frame.data, max(1, _usable_levels(frame.data.shape, cfg)))
     return pyr, [kernels.gradients(p) for p in pyr]
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from meshstab.frames import GrayFrame
+from meshstab.stage1 import QuadraticProblem, UnknownIndex
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
 
 
@@ -42,6 +43,12 @@ def random_set(
         pts = np.clip(pts, 0.0, [width - 1.0, height - 1.0])
         trajs.append(FeatureTrajectory(id=i, start_frame=start, points=pts))
     return TrajectorySet(tuple(trajs), frame_count, (width, height))
+
+
+def stage1_problem(ts: TrajectorySet) -> QuadraticProblem:
+    """An empty problem over ts's stage-1 unknowns, with its UnknownIndex."""
+    index = UnknownIndex(ts)
+    return QuadraticProblem(index.n, index)
 
 
 def world_texture(rng: np.random.Generator, width: int, height: int,

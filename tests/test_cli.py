@@ -140,12 +140,25 @@ def test_trajectory_id_beyond_int64_exits_three(tmp_path, caplog):
     assert "line 2" in caplog.text and "int64" in caplog.text
 
 
+def test_control_grid_beyond_frame_side_exits_three(tmp_path, caplog):
+    # a linspace of 10^12 points once ran out of memory
+    traj = _synth(tmp_path, "in.traj")
+    out = tmp_path / "o.traj"
+    code = cli.main(["stabilize", str(traj), "--out", str(out),
+                     "--set", f"grid_per_edge={10**12}"])
+    assert code == cli.EXIT_PARSE
+    assert "per_edge" in caplog.text and not out.exists()
+
+
 @pytest.mark.parametrize("setting", [
     "tracker_max_iterations=0", "tracker_fb_error_max=-1", "tracker_response_radius=0",
     "tracker_corner_target=0", "tracker_grid_cols=0",
     # NaN or out-of-range values that track wrongly without complaint
     "tracker_min_new_corner_dist=nan", "tracker_convergence_px=-0.01",
     "tracker_redetect_fraction=-1.0", "tracker_min_per_cell=-1",
+    # a grid finer than the 64x48 frame: once an int64 overflow, once a
+    # per-cell Python loop over every cell
+    f"tracker_grid_cols={10**30}", "tracker_grid_rows=49",
 ])
 def test_track_rejects_tracker_values_that_track_nothing(tmp_path, setting, caplog):
     rng = np.random.default_rng(41)

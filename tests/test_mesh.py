@@ -53,6 +53,13 @@ def test_control_points_91():
     assert top == [float(v) for v in range(0, 91, 10)]
 
 
+def test_control_points_at_most_one_per_pixel_of_the_shorter_side():
+    assert make_control_points(30, 20, 20).shape == (76, 2)
+    for w, h, per_edge in ((30, 20, 21), (2, 2, 3), (64, 48, 10**12)):
+        with pytest.raises(ValueError, match="per_edge"):
+            make_control_points(w, h, per_edge)
+
+
 def test_control_points_count_and_corners():
     rng = np.random.default_rng(0)
     for _ in range(6):

@@ -18,7 +18,7 @@ from meshstab.mesh import barycentric, build_all_meshes, reconstruct_similar, si
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
 from meshstab.weights import build_lsm_table, temporal_weight
 
-from conftest import random_set
+from conftest import random_set, stage1_problem
 
 
 def naive_objective(prob, ts, meshes, lsm, cfg, xvec):
@@ -245,7 +245,7 @@ def test_intersim_vanishes_under_per_frame_similarity():
         meshes = build_all_meshes(ts)
         lsm = build_lsm_table(ts)
         cfg = s1.StageOneConfig()
-        prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+        prob = stage1_problem(ts)
         s1.add_intersim(prob, ts, meshes, lsm, cfg)
         xs = _similarity_candidate(rng, prob, ts)
         scale = prob.objective(xs + rng.normal(0, 1.0, prob.n))
@@ -259,7 +259,7 @@ def test_intrasim_vanishes_under_per_frame_affine():
         ts = random_set(rng, n_traj=6, frame_count=6)
         meshes = build_all_meshes(ts)
         cfg = s1.StageOneConfig()
-        prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+        prob = stage1_problem(ts)
         s1.add_intrasim(prob, ts, meshes, cfg)
         xa = np.empty(prob.n)
         for t in range(ts.frame_count):
@@ -279,7 +279,7 @@ def test_smooth1_zero_iff_constant():
     rng = np.random.default_rng(75)
     ts = random_set(rng, n_traj=4, frame_count=8)
     cfg = s1.StageOneConfig()
-    prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob = stage1_problem(ts)
     s1.add_smooth1(prob, ts, cfg)
     xc = np.empty(prob.n)
     for tr in ts.trajectories:
@@ -297,7 +297,7 @@ def test_smooth2_zero_iff_constant_velocity():
     rng = np.random.default_rng(76)
     ts = random_set(rng, n_traj=4, frame_count=8)
     cfg = s1.StageOneConfig()
-    prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob = stage1_problem(ts)
     s1.add_smooth2(prob, ts, cfg)
     xv = np.empty(prob.n)
     for tr in ts.trajectories:
@@ -317,7 +317,7 @@ def test_smooth2_hand_value():
                            points=np.array([[5.0, 5.0], [6.0, 5.0], [7.0, 5.0]]))
     ts = TrajectorySet((tr,), 3, (64, 64))
     cfg = s1.StageOneConfig(beta=10.0)
-    prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob = stage1_problem(ts)
     s1.add_smooth2(prob, ts, cfg)
     x = np.array([0.0, 0.0, 1.0, 0.0, 3.0, 0.0])  # (0,0),(1,0),(3,0)
     assert abs(prob.objective(x) - cfg.beta) <= 1e-12
@@ -326,7 +326,7 @@ def test_smooth2_hand_value():
 def test_reg_term_values():
     rng = np.random.default_rng(77)
     ts = random_set(rng, n_traj=3, frame_count=5)
-    prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob = stage1_problem(ts)
     s1.add_reg(prob, ts)
     assert prob.objective(prob.index.x0) == 0.0
     moved = prob.index.x0.copy()
@@ -342,7 +342,7 @@ def test_reg_term_values():
 def test_solve_reg_only_returns_input():
     rng = np.random.default_rng(78)
     ts = random_set(rng, n_traj=4, frame_count=6)
-    prob = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob = stage1_problem(ts)
     s1.add_reg(prob, ts)
     out = s1.solve(prob)
     for tr in ts.trajectories:
@@ -390,14 +390,14 @@ def test_argmin_invariant_under_uniform_weight_scaling():
     scaled_cfg = s1.StageOneConfig(alpha=200.0, beta=100.0, gamma=100.0,
                                    epsilon=200.0)
 
-    prob_a = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob_a = stage1_problem(ts)
     s1.add_reg(prob_a, ts)
     s1.add_smooth1(prob_a, ts, base_cfg)
     s1.add_smooth2(prob_a, ts, base_cfg)
     s1.add_intersim(prob_a, ts, meshes, lsm, base_cfg)
     s1.add_intrasim(prob_a, ts, meshes, base_cfg)
 
-    prob_b = s1.QuadraticProblem(s1.UnknownIndex(ts))
+    prob_b = stage1_problem(ts)
     s1.add_reg(prob_b, ts, weight=10.0)
     s1.add_smooth1(prob_b, ts, scaled_cfg)
     s1.add_smooth2(prob_b, ts, scaled_cfg)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstab import kernels, tracker
 from meshstab.frames import GrayFrame
@@ -201,6 +203,58 @@ def test_config_accepts_boundary_values():
     TrackerConfig(min_new_corner_dist=0.0, convergence_px=0.0, cell_relax=0.0,
                   min_eig_threshold=0.0, redetect_fraction=0.0, min_per_cell=0)
     TrackerConfig(redetect_fraction=1.0)
+
+
+def test_grid_finer_than_the_frame_is_refused():
+    frame = GrayFrame(80, 64, world_texture(np.random.default_rng(3), 80, 64))
+    assert detect_corners(frame, TrackerConfig(grid_cols=80, grid_rows=64))
+    for field, value in (("grid_cols", 81), ("grid_rows", 65), ("grid_cols", 10**30)):
+        with pytest.raises(ValueError, match=field):
+            detect_corners(frame, TrackerConfig(**{field: value}))
+
+
+def _top_up_loop(cell, scores, chosen, min_per_cell, relaxed):
+    """The per-cell top-up as two Python passes: first candidates at or above
+    the relaxed threshold, then any; the slow oracle for _top_up_cells."""
+    for c in np.unique(cell):
+        in_cell = np.nonzero(cell == c)[0]
+        have = int(chosen[in_cell].sum())
+        for passes in (scores[in_cell] >= relaxed, np.ones(in_cell.size, dtype=bool)):
+            for i in in_cell[passes]:
+                if have >= min_per_cell:
+                    break
+                if not chosen[i]:
+                    chosen[i] = True
+                    have += 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cells=st.lists(st.integers(0, 5), max_size=40), n_global=st.integers(0, 40),
+       min_per_cell=st.one_of(st.integers(0, 4), st.just(2**70)), relaxed=st.floats(0.0, 1.5))
+def test_top_up_matches_two_pass_loop(cells, n_global, min_per_cell, relaxed):
+    cell = np.array(cells, dtype=np.int64)
+    scores = np.linspace(1.0, 0.01, cell.size)  # descending, as detect_corners orders them
+    ref = np.arange(cell.size) < n_global
+    got = ref.copy()
+    _top_up_loop(cell, scores, ref, min_per_cell, relaxed)
+    tracker._top_up_cells(cell, got, min_per_cell)
+    assert np.array_equal(got, ref)
+
+
+def test_pyramid_builds_only_usable_levels():
+    # 64 px // (21 + 2) = 2: levels 0 and 1 keep a 23 px side
+    rng = np.random.default_rng(4)
+    frames, _ = textured_frames(rng, width=64, height=64, frame_count=2, max_shift=1)
+    pts = detect_corners(frames[0])
+    ref = track_frame_pair(frames[0], frames[1], pts, TrackerConfig())
+    huge = TrackerConfig(pyramid_levels=10**9)
+    assert len(tracker._pyramid_and_gradients(frames[0], huge)[0]) == 2
+    got = track_frame_pair(frames[0], frames[1], pts, huge)
+    assert all((p is None and q is None) or np.array_equal(p, q) for p, q in zip(ref, got))
+    # a window wider than the frame still builds level 0 and tracks nothing
+    narrow = TrackerConfig(window=71, pyramid_levels=10**9)
+    assert len(tracker._pyramid_and_gradients(frames[0], narrow)[0]) == 1
+    assert track_frame_pair(frames[0], frames[1], pts, narrow) == [None] * len(pts)
 
 
 def _same_tracks(a, b):
