@@ -42,12 +42,13 @@ __all__ = [
 
 AREA_EPS = 1e-9          # triangles at or below this area are degenerate
 DEDUP_EPS = 1e-6         # vertices closer than this merge
+PER_EDGE = 10            # default points per side, allowed on any frame
 
 
 # --- control points ---
 
 
-def make_control_points(width: int, height: int, per_edge: int = 10) -> np.ndarray:
+def make_control_points(width: int, height: int, per_edge: int = PER_EDGE) -> np.ndarray:
     """Evenly spaced border points in cyclic order, corners shared.
 
     per_edge counts points per side including both corners, so the ring has
@@ -57,8 +58,10 @@ def make_control_points(width: int, height: int, per_edge: int = 10) -> np.ndarr
     """
     if width < 2 or height < 2:
         raise ValueError(f"frame must be at least 2x2, got {width}x{height}")
-    if not 2 <= per_edge <= min(width, height):  # at most one point per pixel of a side
-        raise ValueError(f"per_edge must be in [2, {min(width, height)}], got {per_edge}")
+    # at most one point per pixel of the shorter side, or the default on smaller frames
+    cap = max(min(width, height), PER_EDGE)
+    if not 2 <= per_edge <= cap:
+        raise ValueError(f"per_edge must be in [2, {cap}], got {per_edge}")
     xs = np.linspace(0.0, width - 1.0, per_edge)
     ys = np.linspace(0.0, height - 1.0, per_edge)
     ring: list[tuple[float, float]] = []
@@ -244,7 +247,7 @@ class FrameMesh:
         return pts
 
 
-def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh:
+def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = PER_EDGE) -> FrameMesh:
     """Mesh one frame of a trajectory set.
 
     Feature points closer than 1e-6 px merge into the lowest trajectory id;
@@ -286,7 +289,7 @@ def build_frame_mesh(ts: TrajectorySet, t: int, per_edge: int = 10) -> FrameMesh
     )
 
 
-def build_all_meshes(ts: TrajectorySet, per_edge: int = 10) -> list[FrameMesh]:
+def build_all_meshes(ts: TrajectorySet, per_edge: int = PER_EDGE) -> list[FrameMesh]:
     """Meshes for every frame.  Frames are independent of each other."""
     return [build_frame_mesh(ts, t, per_edge) for t in range(ts.frame_count)]
 

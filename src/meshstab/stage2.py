@@ -13,8 +13,9 @@ into its target, t = -q_f' f, leaving w (q_c' x - t)^2 over the frame's 2C
 controls x.  The rows go through stage 1's accumulator, QuadraticProblem,
 with frame s of a chunk of frames owning columns s*2C .. s*2C + 2C - 1, so
 A = R' W R is block diagonal.  Its blocks are stacked as (frames, 2C, 2C)
-for one batched eigenvalue test and one batched Cholesky solve.  A chunk
-holds as many frames as fit CHUNK_ENTRIES block entries, at least one.
+for one batched eigenvalue test; the blocks that pass are then Cholesky
+factored and solved one at a time.  A chunk holds as many frames as fit
+CHUNK_ENTRIES block entries, at least one.
 
 There is no tie to original control positions, so a frame without enough
 fixed anchors (fewer than 2 non-coincident features) leaves a similarity
@@ -79,17 +80,11 @@ def _solve_blocks(prob: QuadraticProblem, m: int) -> tuple[np.ndarray, np.ndarra
     eig = np.linalg.eigvalsh(blocks)
     ok = ~(eig[:, 0] <= SINGULAR_EIG_RATIO * np.maximum(eig[:, -1], np.finfo(np.float64).tiny))
     x = np.zeros_like(b)
-    idx = np.nonzero(ok)[0]
-    try:
-        if idx.size:
-            x[idx] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(blocks[idx]), b[idx])
-    except np.linalg.LinAlgError:
-        # the batch does not say which block failed: redo them one by one
-        for i in idx:
-            try:
-                x[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(blocks[i]), b[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
+    for i in np.nonzero(ok)[0]:
+        try:
+            x[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(blocks[i]), b[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
     return x[..., 0], ok
 
 
@@ -124,7 +119,7 @@ def solve_stage2(
     stabilized_features: TrajectorySet,
     cfg: StageOneConfig = StageOneConfig(),
 ) -> StabilizedControlPoints:
-    """Solve every frame, one batched solve per chunk of frames.
+    """Solve every frame, one block-diagonal problem per chunk of frames.
 
     Frames whose system is singular (too few anchoring features) keep
     their original control points and are reported in fallback_frames.

@@ -55,7 +55,11 @@ def test_control_points_91():
 
 def test_control_points_at_most_one_per_pixel_of_the_shorter_side():
     assert make_control_points(30, 20, 20).shape == (76, 2)
-    for w, h, per_edge in ((30, 20, 21), (2, 2, 3), (64, 48, 10**12)):
+    # the default count stays allowed on frames smaller than it
+    for w, h in ((6, 6), (2, 2), (9, 40)):
+        cp = make_control_points(w, h)
+        assert cp.shape == (36, 2) and len(np.unique(cp, axis=0)) == 36
+    for w, h, per_edge in ((30, 20, 21), (2, 2, 11), (6, 40, 11), (64, 48, 10**12)):
         with pytest.raises(ValueError, match="per_edge"):
             make_control_points(w, h, per_edge)
 
