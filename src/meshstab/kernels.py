@@ -14,13 +14,15 @@ at a time.  A ``Windows`` store lets a later call on the same image reuse
 the template windows sampled at the same points.  Both give the same bits
 as sampling every window pixel on its own.
 
-The render takes all triangles of a frame in one pass.  Their bounding
-boxes are expanded into candidate pixels in triangle order, at most
-``_RASTER_CHUNK`` box pixels at a time (or one larger triangle), so the
-working set stays bounded however large or flipped the triangles are.
-Each pixel goes to the lowest-index triangle that contains it, and every
-owned pixel is then sampled once.  Image and owner map are bit-identical
-to the per-triangle loop.
+The render takes all triangles of a frame in one pass.  Along one row of a
+triangle's bounding box each edge test is monotone in x, so the pixels
+that pass all three form one run; each row's run is found from a closed
+form and checked against the same edge expression the per-triangle loop
+evaluates.  Only the runs are expanded into pixels, at most
+``_RASTER_CHUNK`` at a time, so the working set stays bounded however
+large or flipped the triangles are.  Each pixel goes to the lowest-index
+triangle that contains it, and the owned pixels are then sampled a chunk
+at a time.  Image and owner map are bit-identical to the per-triangle loop.
 """
 
 from __future__ import annotations
@@ -274,8 +276,72 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
 
 _EDGE_TOL = 1e-7
 _SRC_TOL = 1e-9
-# box pixels expanded at once; a chunk holds at least one triangle
+# box rows searched, run pixels expanded and owned pixels sampled at once;
+# a chunk holds at least one triangle, box row or pixel
 _RASTER_CHUNK = 1 << 15
+
+
+def _spans(sizes):
+    """Slices of consecutive items whose sizes sum to at most _RASTER_CHUNK,
+    or one larger item."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        start = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RASTER_CHUNK, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _row_runs(c, b, xa, lo, hi):
+    """The run of columns of each box row that passes all three edge tests.
+
+    c, b, xa: (3, R), one row per edge, so that the test at column x of box
+    row r is c - b * (x - xa) >= -_EDGE_TOL, with c the row's y term; a NaN
+    value fails.  lo, hi: (R,) box columns [lo, hi).  Each step of that
+    expression rounds monotonically in x, so a test passes a prefix of the
+    row when b > 0, a suffix when b < 0, and all or none of it when b == 0.
+    Its flip, the first column past the prefix or the first of the suffix,
+    is estimated from the closed form xa + (c + tol) / b, clipped to the
+    box and then searched to the exact flip of the expression above.
+    Returns each row's first column and its pixel count (0 for none).
+    """
+    R = lo.size
+    lo = np.tile(lo, 3)
+    hi = np.tile(hi, 3)
+    c, b, xa = c.reshape(-1), b.reshape(-1), xa.reshape(-1)
+    prefix = b >= 0.0
+
+    def flips(j, x):
+        # whether column x lies past edge j's prefix, or in its suffix
+        return (c[j] - b[j] * (x - xa[j]) >= -_EDGE_TOL) != prefix[j]
+
+    est = xa + (c + _EDGE_TOL) / b
+    k = np.where(b > 0.0, np.floor(est) + 1.0, np.ceil(est))
+    k = np.where(b == 0.0, np.where(c >= -_EDGE_TOL, hi, lo), k)  # c is the whole test
+    k = np.fmin(np.fmax(k, lo), hi).astype(np.intp)  # a NaN estimate goes to lo
+    every = slice(None)
+    up = (k < hi) & ~flips(every, np.minimum(k, hi - 1))
+    down = (k > lo) & flips(every, np.maximum(k - 1, lo))
+    # where the estimate is off, bisect the box: the flip lies in (a, z]
+    j = np.flatnonzero(up | down)
+    a, z = lo[j] - 1, hi[j]
+    while True:
+        done = z - a <= 1
+        k[j[done]] = z[done]
+        j, a, z = j[~done], a[~done], z[~done]
+        if not j.size:
+            break
+        mid = (a + z) // 2
+        f = flips(j, mid)
+        a = np.where(f, a, mid)
+        z = np.where(f, mid, z)
+    k = k.reshape(3, R)
+    prefix = prefix.reshape(3, R)
+    start = np.where(prefix, lo[:R], k).max(axis=0)
+    end = np.where(prefix, k, hi[:R]).min(axis=0)
+    return start, np.maximum(end - start, 0)
 
 
 def _raster_numpy(src, tris, inv_affines, out, owner):
@@ -294,72 +360,75 @@ def _raster_numpy(src, tris, inv_affines, out, owner):
     xmax = np.clip(np.floor(xs.max(axis=1) + 1e-9), -1, W - 1).astype(np.intp)
     ymin = np.clip(np.ceil(ys.min(axis=1) - 1e-9), 0, H).astype(np.intp)
     ymax = np.clip(np.floor(ys.max(axis=1) + 1e-9), -1, H - 1).astype(np.intp)
-    bw = xmax - xmin + 1
     bh = ymax - ymin + 1
-    keep = np.flatnonzero((area != 0.0) & (bw > 0) & (bh > 0))
-    npx = bw[keep] * bh[keep]
-    ends = np.cumsum(npx)
+    # a zero or NaN area has no orientation: the triangle owns nothing
+    keep = np.flatnonzero(((area > 0.0) | (area < 0.0)) & (xmax >= xmin) & (bh > 0))
     # edge a -> b tests s * ((xb - xa) * (y - ya) - (yb - ya) * (x - xa));
     # folding s into both factors is exact (rounding is sign-symmetric), so
     # every edge value is the loop's up to the sign of a zero
-    edges = [(s * (xb - xa), s * (yb - ya), xa, ya)
-             for xa, ya, xb, yb in ((x1, y1, x2, y2), (x2, y2, x3, y3), (x3, y3, x1, y1))]
+    ea = np.stack([s * (x2 - x1), s * (x3 - x2), s * (x1 - x3)])
+    eb = np.stack([s * (y2 - y1), s * (y3 - y2), s * (y1 - y3)])
+    exa = np.stack([x1, x2, x3])
+    eya = np.stack([y1, y2, y3])
 
     # lowest covering triangle per pixel; K marks an uncovered pixel
     first = np.full(H * W, K, dtype=np.int64)
-    lo = 0
-    while lo < keep.size:
-        start = ends[lo] - npx[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _RASTER_CHUNK, side="right")))
-        tk = keep[lo:hi]
-        # one entry per box row, then one per box pixel, in triangle order
+    for c in _spans(bh[keep]):
+        tk = keep[c]
+        # one entry per box row, in triangle order
         rt = np.repeat(tk, bh[tk])
         ry = np.arange(rt.size) - np.repeat(np.cumsum(bh[tk]) - bh[tk] - ymin[tk], bh[tk])
-        wr = bw[rt]
-        xi = np.arange(ends[hi - 1] - start) - np.repeat(np.cumsum(wr) - wr - xmin[rt], wr)
-        xx = xi.astype(np.float64)
         yy = ry.astype(np.float64)
-        inside = np.ones(xi.size, dtype=bool)
-        for a, b, xa, ya in edges:
-            # the y term is the same along a box row, so it is formed per row
-            e = (np.repeat(a[rt] * (yy - ya[rt]), wr)
-                 - np.repeat(b[rt], wr) * (xx - np.repeat(xa[rt], wr)))
-            inside &= e >= -_EDGE_TOL
-        pix = (np.repeat(ry * W, wr) + xi)[inside]
-        np.minimum.at(first, pix, np.repeat(rt, wr)[inside])
-        lo = hi
+        run0, n = _row_runs(ea[:, rt] * (yy - eya[:, rt]), eb[:, rt], exa[:, rt],
+                            xmin[rt], xmax[rt] + 1)
+        # then one entry per run pixel, at most a chunk of them at a time
+        hit = np.flatnonzero(n)
+        rt, run0, n = rt[hit], ry[hit] * W + run0[hit], n[hit]
+        for r in _spans(n):
+            nr = n[r]
+            pix = np.arange(nr.sum()) + np.repeat(run0[r] - (np.cumsum(nr) - nr), nr)
+            np.minimum.at(first, pix, np.repeat(rt[r], nr))
 
     # pixels a caller already owns stay as they are
-    yi, xi = np.nonzero((first.reshape(H, W) < K) & (owner < 0))
-    pix = yi * W + xi
-    t = first[pix]
-    np.put(owner, pix, t)
-    xx = xi.astype(np.float64)
-    yy = yi.astype(np.float64)
+    owned = np.flatnonzero((first < K) & (owner.reshape(-1) < 0))
     a = inv_affines.reshape(K, 6)
-    sx = a[:, 0].take(t) * xx + a[:, 1].take(t) * yy + a[:, 2].take(t)
-    sy = a[:, 3].take(t) * xx + a[:, 4].take(t) * yy + a[:, 5].take(t)
-    ok = ((sx >= -_SRC_TOL) & (sx <= sw - 1.0 + _SRC_TOL)
-          & (sy >= -_SRC_TOL) & (sy <= sh - 1.0 + _SRC_TOL))
-    gx = np.minimum(np.maximum(sx[ok], 0.0), sw - 1.0)
-    gy = np.minimum(np.maximum(sy[ok], 0.0), sh - 1.0)
-    x0 = np.minimum(np.floor(gx).astype(np.intp), sw - 2)
-    y0 = np.minimum(np.floor(gy).astype(np.intp), sh - 2)
-    fx = gx - x0
-    fy = gy - y0
-    # flat gathers equal 2-D indexing, which wraps the -1 that a 1-px-wide
-    # (or -high) src clamps x0 (y0) to onto column (row) 0
-    c0 = np.maximum(x0, 0)
-    c1 = x0 + 1
-    r0 = np.maximum(y0, 0) * sw
-    r1 = (y0 + 1) * sw
     flat = src.reshape(-1)
-    vals = np.zeros(pix.size)
-    hx = 1.0 - fx
-    hy = 1.0 - fy
-    vals[ok] = (flat.take(r0 + c0) * hx * hy + flat.take(r0 + c1) * fx * hy
-                + flat.take(r1 + c0) * hx * fy + flat.take(r1 + c1) * fx * fy)
-    np.put(out, pix, vals)
+    # the right, lower and diagonal neighbours of each gathered pixel; a
+    # 1-px-wide (or -high) src clamps x0 (y0) to -1, and 2-D indexing wraps
+    # both of its columns (rows) onto column (row) 0
+    dx = 1 if sw > 1 else 0
+    dy = sw if sh > 1 else 0
+    right, below, diag = flat[dx:], flat[dy:], flat[dx + dy:]
+    for lo in range(0, owned.size, _RASTER_CHUNK):
+        pix = owned[lo:lo + _RASTER_CHUNK]
+        t = first[pix]
+        np.put(owner, pix, t)
+        yi, xi = np.divmod(pix, W)
+        xx = xi.astype(np.float64)
+        yy = yi.astype(np.float64)
+        sx = a[:, 0].take(t) * xx + a[:, 1].take(t) * yy + a[:, 2].take(t)
+        sy = a[:, 3].take(t) * xx + a[:, 4].take(t) * yy + a[:, 5].take(t)
+        ok = ((sx >= -_SRC_TOL) & (sx <= sw - 1.0 + _SRC_TOL)
+              & (sy >= -_SRC_TOL) & (sy <= sh - 1.0 + _SRC_TOL))
+        inside = ok.all()
+        if not inside:
+            sx, sy = sx[ok], sy[ok]
+        gx = np.minimum(np.maximum(sx, 0.0), sw - 1.0)
+        gy = np.minimum(np.maximum(sy, 0.0), sh - 1.0)
+        # gx, gy >= 0, so truncation is floor
+        x0 = np.minimum(gx.astype(np.intp), sw - 2)
+        y0 = np.minimum(gy.astype(np.intp), sh - 2)
+        fx = gx - x0
+        fy = gy - y0
+        i = np.maximum(y0, 0) * sw + np.maximum(x0, 0)
+        hx = 1.0 - fx
+        hy = 1.0 - fy
+        vals = (flat.take(i) * hx * hy + right.take(i) * fx * hy
+                + below.take(i) * hx * fy + diag.take(i) * fx * fy)
+        if not inside:
+            vals, v = np.zeros(pix.size), vals
+            vals[ok] = v
+        np.put(out, pix, vals)
     return out, owner
 
 
@@ -400,12 +469,19 @@ def rasterize(src: np.ndarray, tris: np.ndarray, inv_affines: np.ndarray) -> tup
     containing a pixel wins, which settles pixels on shared edges.  Returns
     (image, owner) where owner[y, x] is the triangle index or -1.
 
-    All triangles are taken in one whole-array pass: bounding boxes are
-    expanded into candidate pixels a chunk of at most ``_RASTER_CHUNK``
-    box pixels (or one larger triangle) at a time, each pixel keeps the
-    least index of the triangles that contain it, and the owned pixels
-    are sampled once.  The result equals the per-triangle loop bit for
-    bit.  Raises ValueError if a vertex is not finite.
+    All triangles are taken in one whole-array pass.  On one row of a
+    triangle's box an edge value c - b * (x - xa) is monotone in x, since
+    each rounding step is, so the pixels passing it are a prefix of the row
+    (b > 0), a suffix (b < 0), or all or none of it (b == 0); a NaN value
+    fails.  Each row's run is the overlap of its three, found from the
+    closed-form flip xa + (c + tol) / b clipped to the box and then
+    searched to the exact flip of the loop's own expression.  Runs are
+    expanded a chunk of at most ``_RASTER_CHUNK`` pixels (or one longer
+    row) at a time, each pixel keeps the least index of the triangles whose
+    runs hold it, and the owned pixels are sampled in chunks of the same
+    size.  A triangle of zero or NaN area owns nothing.  The result equals
+    the per-triangle loop bit for bit.  Raises ValueError if a vertex is
+    not finite.
     """
     H, W = src.shape
     out = np.zeros((H, W))

@@ -97,6 +97,11 @@ def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> li
     for name, side in (("grid_cols", frame.width), ("grid_rows", frame.height)):
         if getattr(cfg, name) > side:
             raise ValueError(f"{name} must be <= the frame side {side}, got {getattr(cfg, name)}")
+    # the response needs the (2r+1)^2 window and a one-pixel gradient border
+    r, side = cfg.response_radius, min(frame.width, frame.height)
+    if 2 * r + 3 > side:
+        raise ValueError(f"response_radius must be <= {(side - 3) // 2}, so that its window "
+                         f"fits inside the {frame.width}x{frame.height} frame, got {r}")
     resp = kernels.corner_min_eig(frame.data, cfg.response_radius)
     peak = float(resp.max())
     if peak <= 0.0:
@@ -275,6 +280,9 @@ def build_trajectories(
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
     w, h = frames[0].width, frames[0].height
+    if not _usable_levels((h, w), cfg):
+        raise ValueError(f"window must be <= {min(w, h) - 2}, so that it fits inside the "
+                         f"{w}x{h} frame, got {cfg.window}")
 
     next_id = 0
     reuse = FrameCache()

@@ -413,6 +413,8 @@ def load_warpfield(path: str | Path) -> WarpField:
         raise ParseError(f"negative frame count {count}", line=ln)
     if w < 2 or h < 2:
         raise ParseError(f"frame size must be at least 2x2, got {w}x{h}", line=ln)
+    if max(count, w, h) >= 2**63:
+        raise ParseError("header field beyond the int64 range", line=ln)
     n_controls = None
     frames = []
     for _ in range(count):

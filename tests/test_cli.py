@@ -159,6 +159,9 @@ def test_control_grid_beyond_frame_side_exits_three(tmp_path, caplog):
     # a grid finer than the 64x48 frame: once an int64 overflow, once a
     # per-cell Python loop over every cell
     f"tracker_grid_cols={10**30}", "tracker_grid_rows=49",
+    # a flow window or a structure-tensor window larger than the frame
+    "tracker_window=1000001", "tracker_window=47", "tracker_response_radius=1000000",
+    "tracker_response_radius=23",
 ])
 def test_track_rejects_tracker_values_that_track_nothing(tmp_path, setting, caplog):
     rng = np.random.default_rng(41)
@@ -169,6 +172,18 @@ def test_track_rejects_tracker_values_that_track_nothing(tmp_path, setting, capl
     assert code == cli.EXIT_PARSE
     assert setting.split("=")[0].removeprefix("tracker_") in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    [], ["--set", "tracker_window=45"], ["--set", "tracker_response_radius=22"]])
+def test_track_accepts_windows_that_fit_the_frame(tmp_path, settings):
+    rng = np.random.default_rng(41)
+    frames, _ = textured_frames(rng, width=64, height=48, frame_count=4, max_shift=1)
+    save_frame_dir(frames, tmp_path / "in")
+    out = tmp_path / "t.traj"
+    assert cli.main(["track", str(tmp_path / "in"), "--out", str(out), *settings]) == 0
+    if not settings:
+        assert len(load_trajectories(out)) > 0
 
 
 def _synth(tmp_path, name, seed=3, extra=()):

@@ -14,7 +14,7 @@ from meshstab.tracker import TrackerConfig, build_trajectories
 from meshstab.trajectory import FeatureTrajectory, TrajectorySet
 from meshstab.warp import build_warp_field
 
-from conftest import textured_frames, world_texture
+from conftest import random_set, textured_frames, world_texture
 
 
 # --- plain-loop references for the vectorized kernels ---
@@ -193,13 +193,13 @@ def _raster_loops(src, tris, inv_affines, out, owner):
                 if owner[y, x] >= 0:
                     continue
                 e1 = s * ((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1))
-                if e1 < -_EDGE_TOL:
+                if not e1 >= -_EDGE_TOL:  # a NaN edge value is outside
                     continue
                 e2 = s * ((x3 - x2) * (y - y2) - (y3 - y2) * (x - x2))
-                if e2 < -_EDGE_TOL:
+                if not e2 >= -_EDGE_TOL:  # a NaN edge value is outside
                     continue
                 e3 = s * ((x1 - x3) * (y - y3) - (y1 - y3) * (x - x3))
-                if e3 < -_EDGE_TOL:
+                if not e3 >= -_EDGE_TOL:  # a NaN edge value is outside
                     continue
                 owner[y, x] = t
                 sx = a00 * x + a01 * y + a02
@@ -665,6 +665,124 @@ def test_raster_chunk_bounds_peak_memory():
     assert (own == 0).all()
     assert np.array_equal(out, src)
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_raster_far_vertices_match_oracle():
+    # far vertices leave x - xa a few values per row, or one, and the edge
+    # products overflow, so the closed-form flip is off or not finite and
+    # is clipped to the box and searched to the exact flip
+    rng = np.random.default_rng(33)
+    src = rng.uniform(10, 255, (24, 30))
+    for far in (1e15, 1e300):
+        near = rng.uniform(-4, 34, (40, 3, 2))
+        sign = rng.choice([-1.0, 1.0], (40, 3, 2))
+        tris = np.where(rng.uniform(size=(40, 3, 2)) < 0.3, sign * far, near)
+        tris[::5] = [[-far, 3.0], [far, 7.5], [12.0, 20.0]]
+        tris[1::5, 0] = [far * 0.999999, 11.5]
+        inv = _identity_affines(40)
+        inv[:, :, 2] = rng.uniform(-0.5, 0.5, (40, 2))
+        _, own = _raster_matches_oracle(src, tris, inv)
+        assert (own >= 0).any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_raster_overflowing_edge_values_are_outside():
+    # the edge products overflow to inf - inf; a NaN edge value counts as
+    # outside, so the first two triangles own nothing
+    src = np.arange(720.0).reshape(24, 30)
+    tris = [[[-1.7e308, -1.7e308], [1.7e308, -1.7e308], [0.0, 1.7e308]],
+            [[-1.7e308, 5.0], [1.7e308, 0.0], [0.0, 5.0]],
+            # a NaN area has no orientation and is skipped like a zero one,
+            # though some of these edge values pass at a few pixels
+            [[0.0, 0.0], [8.9e307, 8.9e307], [1e308, 3.0]],
+            [[-8.9e307, 0.0], [20.0, 1.7e308], [8.9e307, 3.0]],
+            [[3.0, -8.9e307], [0.0, 5.0], [0.0, 8.9e307]]]
+    _, own = _raster_matches_oracle(src, tris, _identity_affines(5))
+    assert (own < 0).all()
+
+
+def test_raster_axis_aligned_edges_match_oracle():
+    # horizontal edges (b == 0) pass all of a row or none; vertical edges
+    # (a == 0) give every row the same flip; on and between pixel centres
+    rng = np.random.default_rng(34)
+    src = rng.uniform(10, 255, (20, 26))
+    tris = []
+    for x0, y0, x1, y1 in ((0, 0, 25, 19), (2, 3, 9, 11), (3.5, 2.5, 12.5, 8.5),
+                           (10, 4, 10.5, 17), (-3, 5, 30, 6), (7.25, -2, 20.75, 25)):
+        tris += [[[x0, y0], [x1, y0], [x1, y1]], [[x0, y0], [x1, y1], [x0, y1]],
+                 [[x1, y1], [x0, y1], [x0, y0]]]
+    tris = np.array(tris, dtype=np.float64)
+    inv = _identity_affines(len(tris))
+    inv[:, :, 2] = rng.uniform(-0.5, 0.5, (len(tris), 2))
+    for order in (slice(None), slice(None, None, -1)):
+        _raster_matches_oracle(src, tris[order], inv[order])
+
+
+def test_raster_slivers_and_one_pixel_runs_match_oracle():
+    rng = np.random.default_rng(35)
+    src = rng.uniform(10, 255, (22, 28))
+    tris = [
+        [[1.0, 2.0], [26.0, 2.2], [26.0, 2.4]],      # flat sliver over one row
+        [[4.9, 1.0], [5.2, 20.0], [4.8, 20.0]],      # tall sliver: one pixel a row
+        [[8.0, 0.5], [8.0, 21.0], [8.0000001, 10.0]],  # thinner than the tolerance
+        [[11.6, 3.6], [12.4, 3.6], [12.0, 4.4]],     # holds one pixel centre
+        [[15.2, 5.2], [15.8, 5.2], [15.5, 5.8]],     # holds none
+        [[1.0, 10.0], [27.0, 14.0], [1.0, 10.0000001]],  # long diagonal sliver
+        [[20.0, 20.0], [20.0, 20.0], [21.0, 21.0]],  # zero area
+    ]
+    # thin random slivers: one vertex close to the segment of the other two
+    a = rng.uniform(0, 27, (30, 2))
+    b = rng.uniform(0, 21, (30, 2))
+    c = a + rng.uniform(0.2, 0.8, (30, 1)) * (b - a) + rng.uniform(-0.3, 0.3, (30, 2))
+    tris = np.concatenate([np.array(tris), np.stack([a, b, c], axis=1)])
+    _, own = _raster_matches_oracle(src, tris, _identity_affines(len(tris)))
+    assert (own == 1).sum() >= 10 and (own == 3).sum() == 1 and not (own == 4).any()
+    assert ((own == 1).sum(axis=1) <= 1).all()
+
+
+def test_raster_mesh_frame_matches_oracle():
+    rng = np.random.default_rng(36)
+    ts = random_set(rng, n_traj=60, frame_count=2, width=160, height=120)
+    meshes = build_all_meshes(ts)
+    ctrl = np.array([m.control_points for m in meshes])
+    field = build_warp_field(meshes, ts, ctrl + rng.uniform(-3, 3, ctrl.shape))
+    fw = field.frames[1]
+    src = world_texture(rng, 160, 120)
+    _, own = _raster_matches_oracle(src, fw.dst[fw.triangles], fw.inverse_affines())
+    assert len(fw.triangles) > 100 and (own >= 0).mean() > 0.9
+
+
+_edge_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, _EDGE_TOL, -_EDGE_TOL, 1e300, -1e300]),
+    st.integers(-80, 80).map(lambda v: v / 4.0))
+_edge_slope = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.integers(-12, 12).map(lambda v: v / 4.0))
+_edge_start = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-40, 80).map(lambda v: v / 4.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(
+    st.tuples(st.lists(st.tuples(_edge_value, _edge_slope, _edge_start), min_size=3, max_size=3),
+              st.integers(0, 20), st.integers(1, 24)),
+    min_size=1, max_size=6))
+def test_row_runs_equal_every_column_tested(rows):
+    # c, b and xa as overflow and rounding can leave them: every column that
+    # passes all three edge tests, and no other, lies in the row's run
+    c, b, xa = (np.array([[e[k] for e in edges] for edges, _, _ in rows]).T for k in range(3))
+    lo = np.array([r[1] for r in rows], dtype=np.intp)
+    hi = lo + np.array([r[2] for r in rows], dtype=np.intp)
+    start, n = kernels._row_runs(c, b, xa, lo, hi)
+    for r in range(len(rows)):
+        x = np.arange(lo[r], hi[r])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.all(c[:, r, None] - b[:, r, None] * (x - xa[:, r, None]) >= -_EDGE_TOL,
+                        axis=0)
+        assert np.array_equal(ok, (x >= start[r]) & (x < start[r] + n[r]))
 
 
 def test_raster_rejects_non_finite_vertices():

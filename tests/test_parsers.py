@@ -159,3 +159,42 @@ def test_mutated_input_loads_or_raises_parse_error(name, data):
             load(path)
         except ParseError:
             pass
+
+
+# --- integers at and beyond the int64 range in every integer field ---
+
+_WIDE_INTS = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**31, 10**20, 10**400]),
+    st.integers(2**62, 2**66), st.integers(-(2**66), -(2**62)))
+
+
+def _warpfield_integer_fields(text: str) -> tuple[list[list[str]], list[list[tuple[int, int]]]]:
+    """The tokens of each line, and (line, token) of every integer field in
+    three groups: the header, the frame headers and the triangles' vertex
+    indices."""
+    lines = [ln.split() for ln in text.splitlines()]
+    groups = [[(0, k) for k in range(3)], [], []]
+    i = 1
+    for _ in range(int(lines[0][0])):
+        ntri, nvert, _ = map(int, lines[i])
+        groups[1] += [(i, k) for k in range(3)]
+        groups[2] += [(i + 1 + t, k) for t in range(ntri) for k in (6, 7, 8)]
+        i += 1 + ntri + nvert
+    return lines, groups
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_warpfield_integers_beyond_int64_load_or_raise_parse_error(data):
+    lines, groups = _warpfield_integer_fields(_CASES["warpfield"][1])
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, k = data.draw(st.sampled_from(data.draw(st.sampled_from(groups))))
+        lines[i][k] = str(data.draw(_WIDE_INTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "\n".join(map(" ".join, lines)).encode("utf-8"))
+        try:
+            field = load_warpfield(path)
+        except ParseError:
+            return
+    # every count a load accepts is held as int64 downstream
+    np.array([len(field.frames), *field.frame_size, field.n_controls], dtype=np.int64)

@@ -245,6 +245,8 @@ def test_flipped_triangles_are_flagged():
         ("1 64 48\n1 99999999999999999999 0\n1 0 0 0 1 0 0 1 10000000000000000000\n",
          "line 2: frame header count beyond the int64 range"),
         ("1 64 48\n0 2 2\n0 0 0 0\n1 1 1 1\n", "line 2: .*at least 3 controls"),
+        ("1 18446744073709551616 48\n", "line 1: header field beyond the int64 range"),
+        ("9223372036854775808 64 48\n", "line 1: header field beyond the int64 range"),
     ],
 )
 def test_warpfield_parse_errors(tmp_path, text, frag):
@@ -336,6 +338,8 @@ def _load_warpfield_lines(path):
         raise ParseError(f"negative frame count {count}", line=ln)
     if w < 2 or h < 2:
         raise ParseError(f"frame size must be at least 2x2, got {w}x{h}", line=ln)
+    if max(count, w, h) >= 2**63:
+        raise ParseError("header field beyond the int64 range", line=ln)
     n_controls = None
     frames = []
     for _ in range(count):
