@@ -15,15 +15,16 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, ParseError, SolverError, read_text
-from .frames import GrayFrame, load_frame_dir, load_y4m, save_frame_dir
-from .mesh import build_all_meshes
+from .frames import load_frame_dir, save_frame_dir
+from .mesh import PER_EDGE, build_all_meshes
 from .metrics import jitter_energy, stability_score, video_ssim
 from .stage1 import StageOneConfig, stabilize_stage1
 from .stage2 import solve_stage2
@@ -44,7 +45,7 @@ from .warp import (
     render_all,
     save_warpfield,
 )
-from .weights import LsmParams, TemporalWeightParams, build_lsm_table
+from .weights import build_lsm_table
 
 __all__ = ["PipelineConfig", "load_config", "resolve_config", "main"]
 
@@ -59,43 +60,19 @@ EXIT_IO = 5
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of the pipeline as one flat record.
+    """Every tunable of the pipeline: the stage and tracker configs plus the
+    three values only the command line uses.
 
-    The field names double as the keys of the config-file format and of the
-    run manifests.  Trajectories are kept only when strictly longer than
+    _CONFIG_KEYS names each field for the config-file format and the run
+    manifests.  Trajectories are kept only when strictly longer than
     min_track_len frames.
     """
 
-    alpha: float = 20.0
-    beta: float = 10.0
-    gamma: float = 10.0
-    epsilon: float = 20.0
-    sigma: float = 10.0
-    tau: float = 10.0
-    knn: int = 8
-    clamp_low: float = 0.1
-    clamp_high: float = 10.0
+    stage1: StageOneConfig = StageOneConfig()
+    tracker: TrackerConfig = TrackerConfig()
     min_track_len: int = 3
-    grid_per_edge: int = 10
-    solver_tol: float = 1e-10
-    max_iter_factor: int = 10
-    dense_cutoff: int = 2000
+    grid_per_edge: int = PER_EDGE
     crop: bool = True
-    tracker_grid_cols: int = 10
-    tracker_grid_rows: int = 10
-    tracker_corner_target: int = 200
-    tracker_min_per_cell: int = 1
-    tracker_response_radius: int = 3
-    tracker_global_thresh_ratio: float = 0.01
-    tracker_cell_relax: float = 0.1
-    tracker_window: int = 21
-    tracker_pyramid_levels: int = 3
-    tracker_max_iterations: int = 30
-    tracker_convergence_px: float = 0.01
-    tracker_fb_error_max: float = 0.5
-    tracker_min_eig_threshold: float = 1e-3
-    tracker_redetect_fraction: float = 0.6
-    tracker_min_new_corner_dist: float = 5.0
 
     def __post_init__(self):
         if self.min_track_len < 2:
@@ -106,61 +83,50 @@ class PipelineConfig:
             raise ValueError(
                 f"grid_per_edge must be >= 2, got {self.grid_per_edge}"
             )
-        # sub-configs carry the rest of the validation; build them eagerly
-        # so a bad value fails before any stage runs
-        self.stage1_config()
-        self.tracker_config()
 
     @property
     def control_points(self) -> int:
         return 4 * self.grid_per_edge - 4
 
-    def stage1_config(self) -> StageOneConfig:
-        return StageOneConfig(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            solver_tol=self.solver_tol,
-            max_iter_factor=self.max_iter_factor,
-            dense_cutoff=self.dense_cutoff,
-            temporal=TemporalWeightParams(sigma=self.sigma),
-            lsm=LsmParams(
-                k=self.knn,
-                tau=self.tau,
-                clamp_low=self.clamp_low,
-                clamp_high=self.clamp_high,
-            ),
-        )
 
-    def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(
-            grid_cols=self.tracker_grid_cols,
-            grid_rows=self.tracker_grid_rows,
-            corner_target=self.tracker_corner_target,
-            min_per_cell=self.tracker_min_per_cell,
-            response_radius=self.tracker_response_radius,
-            global_thresh_ratio=self.tracker_global_thresh_ratio,
-            cell_relax=self.tracker_cell_relax,
-            window=self.tracker_window,
-            pyramid_levels=self.tracker_pyramid_levels,
-            max_iterations=self.tracker_max_iterations,
-            convergence_px=self.tracker_convergence_px,
-            fb_error_max=self.tracker_fb_error_max,
-            min_eig_threshold=self.tracker_min_eig_threshold,
-            redetect_fraction=self.tracker_redetect_fraction,
-            min_new_corner_dist=self.tracker_min_new_corner_dist,
-        )
+# flat config key -> attribute path from PipelineConfig, in the order of the
+# defaults output and of every manifest; LsmParams.min_neighbors has no key
+_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
+    "alpha": ("stage1", "alpha"),
+    "beta": ("stage1", "beta"),
+    "gamma": ("stage1", "gamma"),
+    "epsilon": ("stage1", "epsilon"),
+    "sigma": ("stage1", "temporal", "sigma"),
+    "tau": ("stage1", "lsm", "tau"),
+    "knn": ("stage1", "lsm", "k"),
+    "clamp_low": ("stage1", "lsm", "clamp_low"),
+    "clamp_high": ("stage1", "lsm", "clamp_high"),
+    "min_track_len": ("min_track_len",),
+    "grid_per_edge": ("grid_per_edge",),
+    "solver_tol": ("stage1", "solver_tol"),
+    "max_iter_factor": ("stage1", "max_iter_factor"),
+    "dense_cutoff": ("stage1", "dense_cutoff"),
+    "crop": ("crop",),
+    **{f"tracker_{f.name}": ("tracker", f.name) for f in fields(TrackerConfig)},
+}
 
 
-_FIELD_TYPES = get_type_hints(PipelineConfig)
-_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
+def _leaf_type(path: tuple[str, ...]) -> type:
+    kind = PipelineConfig
+    for name in path:
+        kind = get_type_hints(kind)[name]
+    return kind
+
+
+_FIELD_TYPES = {key: _leaf_type(path) for key, path in _CONFIG_KEYS.items()}
 
 _TRUE_WORDS = frozenset(("1", "true", "yes", "on"))
 _FALSE_WORDS = frozenset(("0", "false", "no", "off"))
+_INT64 = range(-(2**63), 2**63)
 
 
 def _cast_value(key: str, text: str):
+    """`text` as the type of `key`; integers must fit in int64."""
     kind = _FIELD_TYPES[key]
     if kind is bool:
         low = text.strip().lower()
@@ -169,11 +135,23 @@ def _cast_value(key: str, text: str):
         if low in _FALSE_WORDS:
             return False
         raise ValueError(f"expected a boolean for {key}, got {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    raise AssertionError(f"unhandled config field type {kind} for {key}")
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__} for {key}, got {text!r}") from None
+    if kind is int and value not in _INT64:
+        raise ValueError(f"{key} must lie in the int64 range [-2**63, 2**63 - 1]")
+    return value
+
+
+def _parse_pair(item: str) -> tuple[str, object]:
+    """Split one key=value item and cast the value; ValueError says what is wrong."""
+    if "=" not in item:
+        raise ValueError(f"expected key=value, got {item!r}")
+    key, val = (part.strip() for part in item.split("=", 1))
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    return key, _cast_value(key, val)
 
 
 def load_config(path: str | Path) -> dict[str, object]:
@@ -188,16 +166,29 @@ def load_config(path: str | Path) -> dict[str, object]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {raw!r}", line=ln)
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ParseError(f"unknown config key {key!r}", line=ln)
         try:
-            values[key] = _cast_value(key, val)
+            key, value = _parse_pair(line)
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from None
+        values[key] = value
     return values
+
+
+def _replace(cfg, values: dict[tuple[str, ...], object]):
+    """`cfg` with `values`, keyed by attribute path below it, put in.
+
+    Each nested config is rebuilt once from all of its values, so checks
+    across its fields (clamp_low < clamp_high) see the final pair.
+    """
+    own: dict[str, object] = {}
+    nested: dict[str, dict[tuple[str, ...], object]] = {}
+    for (name, *rest), value in values.items():
+        if rest:
+            nested.setdefault(name, {})[tuple(rest)] = value
+        else:
+            own[name] = value
+    own.update((name, _replace(getattr(cfg, name), sub)) for name, sub in nested.items())
+    return replace(cfg, **own)
 
 
 def resolve_config(
@@ -209,7 +200,7 @@ def resolve_config(
         values.update(load_config(config_path))
     values.update(overrides)
     try:
-        return PipelineConfig(**values)
+        return _replace(PipelineConfig(), {_CONFIG_KEYS[k]: v for k, v in values.items()})
     except ValueError as exc:
         raise ParseError(f"bad configuration: {exc}") from None
 
@@ -218,15 +209,11 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
     """Collect --set pairs plus named flags; named flags win."""
     out: dict[str, object] = {}
     for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ParseError(f"--set expects key=value, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ParseError(f"unknown config key {key!r} in --set")
         try:
-            out[key] = _cast_value(key, val)
+            key, value = _parse_pair(item)
         except ValueError as exc:
-            raise ParseError(str(exc)) from None
+            raise ParseError(f"--set: {exc}") from None
+        out[key] = value
     for key in _CONFIG_KEYS:
         flag = getattr(args, f"opt_{key}", None)
         if flag is not None:
@@ -243,7 +230,8 @@ def _format_value(value: object) -> str:
 
 
 def _config_lines(cfg: PipelineConfig) -> list[str]:
-    return [f"{k}={_format_value(getattr(cfg, k))}" for k in _CONFIG_KEYS]
+    return [f"{key}={_format_value(reduce(getattr, path, cfg))}"
+            for key, path in _CONFIG_KEYS.items()]
 
 
 def write_manifest(
@@ -261,17 +249,6 @@ def write_manifest(
         lines += [f"{k}={_format_value(v) if isinstance(v, (bool, float)) else v}"
                   for k, v in extra.items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_frames(path: str) -> list[GrayFrame]:
-    p = Path(path)
-    if p.is_dir():
-        return load_frame_dir(p)
-    if p.suffix.lower() == ".y4m":
-        return load_y4m(p)
-    raise ParseError(
-        f"{path}: expected a directory of .pgm/.ppm frames or a .y4m file"
-    )
 
 
 # --- subcommands ---
@@ -337,11 +314,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config, _flag_overrides(args))
-    frames = _load_frames(args.frames)
+    frames = load_frame_dir(args.frames)
     log.info("tracking %d frames of %dx%d",
              len(frames), frames[0].width, frames[0].height)
     t0 = time.perf_counter()
-    ts = build_trajectories(frames, cfg.tracker_config())
+    ts = build_trajectories(frames, cfg.tracker)
     ts = filter_short(ts, cfg.min_track_len)
     dt = time.perf_counter() - t0
     save_trajectories(ts, args.out)
@@ -359,7 +336,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 def _stabilize(ts: TrajectorySet, cfg: PipelineConfig):
     """Meshes, both solve stages, and the warp field for one trajectory set."""
-    s1 = cfg.stage1_config()
+    s1 = cfg.stage1
     meshes = build_all_meshes(ts, cfg.grid_per_edge)
     lsm = build_lsm_table(ts, s1.lsm)
     stabilized = stabilize_stage1(ts, meshes, s1, lsm)
@@ -407,7 +384,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config, _flag_overrides(args))
-    frames = _load_frames(args.frames)
+    frames = load_frame_dir(args.frames)
     field = load_warpfield(args.warpfield)
     if len(field.frames) != len(frames):
         raise ParseError(
@@ -503,8 +480,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config, _flag_overrides(args))
     before = load_trajectories(args.before)
     after = load_trajectories(args.after)
-    frames_before = _load_frames(args.frames_before) if args.frames_before else None
-    frames_after = _load_frames(args.frames_after) if args.frames_after else None
+    frames_before = load_frame_dir(args.frames_before) if args.frames_before else None
+    frames_after = load_frame_dir(args.frames_after) if args.frames_after else None
 
     source = "trajectories"
     score_before, score_after = before, after
@@ -513,8 +490,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ParseError(
                 "--retrack needs both --frames-before and --frames-after"
             )
-        score_before = build_trajectories(frames_before, cfg.tracker_config())
-        score_after = build_trajectories(frames_after, cfg.tracker_config())
+        score_before = filter_short(build_trajectories(frames_before, cfg.tracker),
+                                    cfg.min_track_len)
+        score_after = filter_short(build_trajectories(frames_after, cfg.tracker),
+                                   cfg.min_track_len)
         source = "retracked"
 
     rep_before = stability_score(score_before)
@@ -564,6 +543,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="override any config key (repeatable)")
 
 
+def _flag_type(key: str):
+    """argparse type for a named flag: the config cast, failing as a usage error."""
+    def cast(text: str):
+        try:
+            return _cast_value(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return cast
+
+
 def _add_named_overrides(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     for key in keys:
         kind = _FIELD_TYPES[key]
@@ -576,8 +565,8 @@ def _add_named_overrides(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> N
                                dest=f"opt_{key}", action="store_false",
                                default=None)
         else:
-            p.add_argument(flag, dest=f"opt_{key}", type=kind, default=None,
-                           metavar=key.upper())
+            p.add_argument(flag, dest=f"opt_{key}", type=_flag_type(key),
+                           default=None, metavar=key.upper())
 
 
 _STAGE_KEYS = (

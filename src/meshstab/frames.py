@@ -190,13 +190,16 @@ def load_frame_dir(path: str | Path) -> list[GrayFrame]:
     """Load a frame sequence.
 
     `path` may be a directory of .pgm/.ppm files (sorted by filename, so a
-    zero-padded index ordering is preserved) or a single .y4m file.
+    zero-padded index ordering is preserved) or a single .y4m file.  A
+    missing path raises FileNotFoundError; any other file, ParseError.
     """
     p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{path}: no such file or directory")
     if p.is_file() and p.suffix.lower() == ".y4m":
         return load_y4m(p)
     if not p.is_dir():
-        raise FileNotFoundError(f"{path}: not a directory or .y4m file")
+        raise ParseError(f"{path}: expected a directory of .pgm/.ppm frames or a .y4m file")
     files = sorted(q for q in p.iterdir() if q.suffix.lower() in (".pgm", ".ppm"))
     if not files:
         raise ParseError(f"{path}: no .pgm/.ppm frames found")

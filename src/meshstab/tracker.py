@@ -24,7 +24,6 @@ from .frames import GrayFrame
 from .trajectory import (
     FeatureTrajectory,
     TrajectorySet,
-    filter_short,
     validate_bounds,
 )
 
@@ -41,7 +40,6 @@ class TrackerConfig:
     min_per_cell: int = 1
     response_radius: int = 3          # 7x7 structure tensor window
     global_thresh_ratio: float = 0.01  # of the maximum response
-    cell_relax: float = 0.1            # no effect on the corners; see _top_up_cells
     window: int = 21                   # flow window side length
     pyramid_levels: int = 3
     max_iterations: int = 30
@@ -70,8 +68,7 @@ class TrackerConfig:
             raise ValueError(f"fb_error_max must be > 0, got {self.fb_error_max}")
         # NaN passes every comparison it is meant to fail: a NaN distance
         # lets new corners land on live points, a NaN step never converges
-        for name in ("min_new_corner_dist", "convergence_px", "cell_relax",
-                     "min_eig_threshold"):
+        for name in ("min_new_corner_dist", "convergence_px", "min_eig_threshold"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.redetect_fraction <= 1.0:
@@ -127,9 +124,7 @@ def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> li
 def _top_up_cells(cell: np.ndarray, chosen: np.ndarray, min_per_cell: int) -> None:
     """Choose, in each cell short of min_per_cell, its best unchosen candidates.
 
-    Candidates come in descending score order, all of them positive.  A
-    cell's best remaining candidates are also the ones a relaxed threshold
-    would pass first, so cell_relax does not change which are chosen.
+    Candidates come in descending score order, all of them positive.
     """
     have = np.bincount(cell[chosen], minlength=int(cell.max(initial=0)) + 1)
     free = np.nonzero(~chosen)[0]
@@ -275,7 +270,8 @@ def build_trajectories(
     Corners are detected on the first frame and re-detected whenever the
     live-point count drops below redetect_fraction * corner_target; new
     corners too close to a surviving point are skipped so trajectories do
-    not pile up.  Trajectories shorter than 4 frames are dropped.
+    not pile up.  Every trajectory is returned, down to a single frame;
+    callers drop the short ones with trajectory.filter_short.
     """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
@@ -333,5 +329,4 @@ def build_trajectories(
         FeatureTrajectory(id=tr["id"], start_frame=tr["start"], points=np.array(tr["pts"]))
         for tr in done
     )
-    ts = validate_bounds(TrajectorySet(trajs, len(frames), (w, h)))
-    return filter_short(ts, 3)
+    return validate_bounds(TrajectorySet(trajs, len(frames), (w, h)))

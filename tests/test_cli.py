@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ import pytest
 from meshstab import cli
 from meshstab.errors import ParseError
 from meshstab.frames import load_frame_dir, save_frame_dir, GrayFrame
-from meshstab.trajectory import load_trajectories
+from meshstab.tracker import TrackerConfig, build_trajectories
+from meshstab.metrics import jitter_energy
+from meshstab.trajectory import filter_short, load_trajectories
+from meshstab.weights import TemporalWeightParams
 
 from conftest import textured_frames
 from meshstab.warp import save_warpfield
@@ -54,6 +60,141 @@ def test_defaults_output_loads_back_as_config(tmp_path):
     assert cli.resolve_config(str(cfgfile), {}) == cli.PipelineConfig()
 
 
+# `meshstab defaults` as it read before the config refactor, less the
+# tracker_cell_relax line
+_DEFAULTS_TEXT = """\
+# resolved defaults; every line below loads back as a config file
+alpha=20.0
+beta=10.0
+gamma=10.0
+epsilon=20.0
+sigma=10.0
+tau=10.0
+knn=8
+clamp_low=0.1
+clamp_high=10.0
+min_track_len=3
+grid_per_edge=10
+solver_tol=1e-10
+max_iter_factor=10
+dense_cutoff=2000
+crop=true
+tracker_grid_cols=10
+tracker_grid_rows=10
+tracker_corner_target=200
+tracker_min_per_cell=1
+tracker_response_radius=3
+tracker_global_thresh_ratio=0.01
+tracker_window=21
+tracker_pyramid_levels=3
+tracker_max_iterations=30
+tracker_convergence_px=0.01
+tracker_fb_error_max=0.5
+tracker_min_eig_threshold=0.001
+tracker_redetect_fraction=0.6
+tracker_min_new_corner_dist=5.0
+# derived: control_points=36 (border ring of a 10x10 lattice)
+# note: a trajectory is kept only when strictly longer than min_track_len frames (length > 3)
+"""
+
+# a stabilize manifest with values from a file (beta, knn, clamp_low, crop,
+# tracker_window), --set (sigma, tracker_corner_target) and --alpha
+_MANIFEST_TEXT = """\
+command=stabilize
+trajectories={traj}
+out={out}
+warpfield=
+alpha=12.0
+beta=2.5
+gamma=10.0
+epsilon=20.0
+sigma=7.5
+tau=10.0
+knn=6
+clamp_low=0.2
+clamp_high=10.0
+min_track_len=3
+grid_per_edge=10
+solver_tol=1e-10
+max_iter_factor=10
+dense_cutoff=2000
+crop=false
+tracker_grid_cols=10
+tracker_grid_rows=10
+tracker_corner_target=150
+tracker_min_per_cell=1
+tracker_response_radius=3
+tracker_global_thresh_ratio=0.01
+tracker_window=15
+tracker_pyramid_levels=3
+tracker_max_iterations=30
+tracker_convergence_px=0.01
+tracker_fb_error_max=0.5
+tracker_min_eig_threshold=0.001
+tracker_redetect_fraction=0.6
+tracker_min_new_corner_dist=5.0
+runtime_per_frame_ms=<runtime>
+flipped_triangles=0
+stage2_fallback_frames=0
+"""
+
+
+def test_defaults_text_is_pinned(capsys):
+    assert cli.main(["defaults"]) == 0
+    assert capsys.readouterr().out == _DEFAULTS_TEXT
+
+
+def test_manifest_text_is_pinned(tmp_path):
+    traj = _synth(tmp_path, "in.traj")
+    cfgfile = tmp_path / "a.cfg"
+    cfgfile.write_text("beta=2.5\nknn=6\ntracker_window=15\ncrop=false\nclamp_low=0.2\n",
+                       encoding="utf-8")
+    out = tmp_path / "o.traj"
+    assert cli.main(["stabilize", str(traj), "--out", str(out), "--config", str(cfgfile),
+                     "--set", "sigma=7.5", "--set", "tracker_corner_target=150",
+                     "--alpha", "12.0"]) == 0
+    text = Path(f"{out}.manifest").read_text(encoding="utf-8")
+    text = re.sub(r"^runtime_per_frame_ms=.*$", "runtime_per_frame_ms=<runtime>", text,
+                  flags=re.M)
+    assert text == _MANIFEST_TEXT.format(traj=traj, out=out)
+
+
+def _leaf_paths(kind: type, prefix: tuple[str, ...] = ()):
+    hints = get_type_hints(kind)
+    for f in fields(kind):
+        if is_dataclass(hints[f.name]):
+            yield from _leaf_paths(hints[f.name], prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def test_config_keys_map_distinct_leaf_fields():
+    paths = list(cli._CONFIG_KEYS.values())
+    assert len(set(paths)) == len(paths)
+    leaves = set(_leaf_paths(cli.PipelineConfig))
+    assert leaves - set(paths) == {("stage1", "lsm", "min_neighbors")}
+    assert set(paths) <= leaves
+
+
+def test_sub_configs_are_built_from_all_their_values(tmp_path):
+    # clamp_low=20 alone breaks clamp_low < clamp_high; the final pair holds
+    cfgfile = tmp_path / "a.cfg"
+    cfgfile.write_text("clamp_low=20\nclamp_high=30\n", encoding="utf-8")
+    for cfg in (cli.resolve_config(str(cfgfile), {}),
+                cli.resolve_config(None, {"clamp_low": 20.0, "clamp_high": 30.0})):
+        assert (cfg.stage1.lsm.clamp_low, cfg.stage1.lsm.clamp_high) == (20.0, 30.0)
+        assert cfg.stage1.lsm.k == 8
+        assert cfg.stage1.temporal == TemporalWeightParams()
+        assert cfg.tracker == TrackerConfig()
+
+
+def test_removed_cell_relax_key_is_unknown(tmp_path):
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("alpha=20\ntracker_cell_relax=0.1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: unknown config key 'tracker_cell_relax'"):
+        cli.load_config(cfgfile)
+
+
 def test_load_config_error_reporting(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha=20\nnot_a_key=3\n", encoding="utf-8")
@@ -71,9 +212,9 @@ def test_flag_overrides_beat_config_file(tmp_path):
     cfgfile = tmp_path / "a.cfg"
     cfgfile.write_text("alpha=5.0\nbeta=2.0\n", encoding="utf-8")
     cfg = cli.resolve_config(str(cfgfile), {"alpha": 7.0})
-    assert cfg.alpha == 7.0
-    assert cfg.beta == 2.0
-    assert cfg.gamma == 10.0
+    assert cfg.stage1.alpha == 7.0
+    assert cfg.stage1.beta == 2.0
+    assert cfg.stage1.gamma == 10.0
 
 
 def test_usage_error_exits_two():
@@ -184,6 +325,70 @@ def test_track_accepts_windows_that_fit_the_frame(tmp_path, settings):
     assert cli.main(["track", str(tmp_path / "in"), "--out", str(out), *settings]) == 0
     if not settings:
         assert len(load_trajectories(out)) > 0
+
+
+def test_integers_beyond_int64_exit_three(tmp_path, caplog):
+    frames, _ = textured_frames(np.random.default_rng(41), width=64, height=48,
+                                frame_count=4, max_shift=1)
+    save_frame_dir(frames, tmp_path / "in")
+    out = tmp_path / "t.traj"
+    big = tmp_path / "big.cfg"
+    big.write_text(f"alpha=20\ntracker_corner_target={2**63}\n", encoding="utf-8")
+    for extra in (["--set", f"tracker_corner_target={10**400}"], ["--config", str(big)]):
+        caplog.clear()
+        assert cli.main(["track", str(tmp_path / "in"), "--out", str(out), *extra]) == 3
+        assert "tracker_corner_target" in caplog.text and "int64" in caplog.text
+        assert not out.exists()
+    assert "line 2" in caplog.text
+    # a named flag goes through the same cast and fails as a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["track", str(tmp_path / "in"), "--out", str(out),
+                  "--min-track-len", str(2**63)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert cli.main(["track", str(tmp_path / "in"), "--out", str(out),
+                     "--set", f"tracker_corner_target={2**63 - 1}"]) == 0
+
+
+def test_min_track_len_is_the_only_track_length_rule(tmp_path):
+    frames, _ = textured_frames(np.random.default_rng(41), width=64, height=48,
+                                frame_count=4, max_shift=1)
+    indir = tmp_path / "in"
+    save_frame_dir(frames, indir)
+    lengths = {}
+    for n in (2, 3):
+        out = tmp_path / f"t{n}.traj"
+        assert cli.main(["track", str(indir), "--out", str(out), "--set", f"min_track_len={n}",
+                         "--set", "tracker_corner_target=2000"]) == 0
+        lengths[n] = sorted(len(tr) for tr in load_trajectories(out).trajectories)
+    assert 3 in lengths[2] and min(lengths[3]) == 4
+    assert [k for k in lengths[2] if k > 3] == lengths[3]
+
+    # evaluate --retrack scores the retracked frames under the same rule
+    energies = []
+    for n in (2, 3):
+        report = tmp_path / f"r{n}.txt"
+        assert cli.main(["evaluate", "--retrack", "--before", str(tmp_path / "t3.traj"),
+                         "--after", str(tmp_path / "t3.traj"), "--frames-before", str(indir),
+                         "--frames-after", str(indir), "--report", str(report),
+                         "--set", f"min_track_len={n}"]) == 0
+        energies.append(_report_dict(report)["jitter_energy_before"])
+        kept = filter_short(build_trajectories(load_frame_dir(indir)), n)
+        assert energies[-1] == repr(jitter_energy(kept))
+    assert energies[0] != energies[1]
+
+
+@pytest.mark.parametrize("name,content,code", [
+    ("missing_dir", None, cli.EXIT_IO),
+    ("missing.y4m", None, cli.EXIT_IO),
+    ("notes.txt", "not frames\n", cli.EXIT_PARSE),
+])
+def test_frame_path_exit_codes(tmp_path, name, content, code, caplog):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "t.traj"
+    assert cli.main(["track", str(path), "--out", str(out)]) == code
+    assert name in caplog.text and not out.exists()
 
 
 def _synth(tmp_path, name, seed=3, extra=()):

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import re
 import tempfile
+from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,6 +168,27 @@ def test_mutated_input_loads_or_raises_parse_error(name, data):
 _WIDE_INTS = st.one_of(
     st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**31, 10**20, 10**400]),
     st.integers(2**62, 2**66), st.integers(-(2**66), -(2**62)))
+
+
+_INT_KEYS = [key for key, kind in cli._FIELD_TYPES.items() if kind is int]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.sampled_from(_INT_KEYS), min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_config_integers_beyond_int64_load_or_raise_parse_error(keys, data):
+    pairs = [f"{key}={data.draw(_WIDE_INTS)}" for key in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "\n".join(pairs).encode("utf-8"))
+        for load in (lambda: cli.resolve_config(str(path), {}),
+                     lambda: cli.resolve_config(None, cli._flag_overrides(SimpleNamespace(set=pairs)))):
+            try:
+                cfg = load()
+            except ParseError:
+                continue
+            # every integer a load accepts is held as int64 downstream
+            np.array([reduce(getattr, cli._CONFIG_KEYS[k], cfg) for k in _INT_KEYS],
+                     dtype=np.int64)
 
 
 def _warpfield_integer_fields(text: str) -> tuple[list[list[str]], list[list[tuple[int, int]]]]:

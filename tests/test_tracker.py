@@ -13,6 +13,7 @@ from meshstab.tracker import (
     detect_corners,
     track_frame_pair,
 )
+from meshstab.trajectory import filter_short
 
 from conftest import textured_frames, world_texture
 
@@ -134,7 +135,7 @@ def test_track_size_mismatch():
 def test_static_video_full_span_tracks():
     rng = np.random.default_rng(19)
     frames, _ = textured_frames(rng, 64, 48, frame_count=6, max_shift=0)
-    ts = build_trajectories(frames)
+    ts = filter_short(build_trajectories(frames), 3)
     assert len(ts) > 0
     for tr in ts.trajectories:
         assert tr.start_frame == 0 and len(tr) == 6
@@ -147,7 +148,7 @@ def test_translating_video_recovers_shift():
     T, W, H, step = 6, 64, 48, 2
     world = world_texture(rng, W + step * T, H)
     frames = [GrayFrame.from_array(world[:, step * t: step * t + W]) for t in range(T)]
-    ts = build_trajectories(frames)
+    ts = filter_short(build_trajectories(frames), 3)
     assert len(ts) >= 5
     for tr in ts.trajectories:
         steps = np.diff(tr.points, axis=0)
@@ -159,7 +160,9 @@ def test_two_frame_input_filters_to_empty():
     rng = np.random.default_rng(27)
     frames, _ = textured_frames(rng, 64, 48, frame_count=2, max_shift=0)
     ts = build_trajectories(frames)
-    assert len(ts) == 0
+    # every track is returned; the length rule is the caller's
+    assert max(len(tr) for tr in ts.trajectories) == 2
+    assert len(filter_short(ts, 3)) == 0
     assert ts.frame_count == 2
 
 
@@ -189,7 +192,7 @@ def test_tracker_determinism_and_bounds():
     ("fb_error_max", float("nan")), ("response_radius", 0), ("corner_target", 0),
     ("grid_cols", 0), ("grid_rows", 0),
     # NaN passes the comparisons these fields feed, so it must be refused too
-    *[(f, v) for f in ("min_new_corner_dist", "convergence_px", "cell_relax", "min_eig_threshold")
+    *[(f, v) for f in ("min_new_corner_dist", "convergence_px", "min_eig_threshold")
       for v in (float("nan"), -0.5)],
     ("redetect_fraction", float("nan")), ("redetect_fraction", -0.1),
     ("redetect_fraction", 1.5), ("min_per_cell", -1),
@@ -200,7 +203,7 @@ def test_config_rejects_values_that_track_nothing(field, value):
 
 
 def test_config_accepts_boundary_values():
-    TrackerConfig(min_new_corner_dist=0.0, convergence_px=0.0, cell_relax=0.0,
+    TrackerConfig(min_new_corner_dist=0.0, convergence_px=0.0,
                   min_eig_threshold=0.0, redetect_fraction=0.0, min_per_cell=0)
     TrackerConfig(redetect_fraction=1.0)
 
