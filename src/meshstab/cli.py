@@ -368,8 +368,8 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     )
     if controls.fallback_frames:
         log.warning(
-            "stage-2 fell back to original control points on %d frame(s): %s",
-            len(controls.fallback_frames), list(controls.fallback_frames),
+            "stage-2 fell back to original control points on %d frame(s), first: %s",
+            len(controls.fallback_frames), list(controls.fallback_frames[:10]),
         )
     write_manifest(
         str(args.out) + ".manifest", "stabilize", cfg,

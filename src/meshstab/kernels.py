@@ -66,7 +66,10 @@ def _box_sum(a: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _corner_numpy(gx, gy, radius):
+def corner_min_eig(img: np.ndarray, radius: int = 3) -> np.ndarray:
+    """Minimum-eigenvalue corner response over a (2*radius+1)^2 window."""
+    img = np.ascontiguousarray(img, dtype=np.float64)
+    gx, gy = gradients(img)
     sxx = _box_sum(gx * gx, radius)
     sxy = _box_sum(gx * gy, radius)
     syy = _box_sum(gy * gy, radius)
@@ -210,8 +213,22 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
-              min_eig_thr, strict, windows=None):
+def lk_refine_level(prev, nxt, gx, gy, pts, disp, status, radius, max_iter,
+                    eps, min_eig_thr, strict=True, *, windows=None):
+    """Refine per-point displacements at one pyramid level (in place).
+
+    pts are level-scaled positions in `prev`; disp holds the current
+    displacement guesses and is updated.  With strict=True points that
+    leave the frame or sit on degenerate texture get status 0 and keep
+    their displacement; with strict=False (coarse pyramid levels) they keep
+    their status so a finer level can still judge them, and a point that
+    left the frame keeps its last iterate.
+
+    windows: an optional ``Windows`` store.  Points it sampled from this
+    same `prev` array at bit-equal coordinates reuse its windows; on
+    return it holds this call's windows.  The result is the same with or
+    without it.
+    """
     H, W = prev.shape
     k = 2 * radius + 1
 
@@ -264,7 +281,7 @@ def _lk_numpy(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
         d[act, 1] += uy
         act = act[~(ux * ux + uy * uy < eps * eps)]
 
-    if strict != 0:
+    if strict:
         dropped.append(idx[left])
         status[np.concatenate(dropped)] = 0
         idx, d = idx[~left], d[~left]
@@ -344,9 +361,33 @@ def _row_runs(c, b, xa, lo, hi):
     return start, np.maximum(end - start, 0)
 
 
-def _raster_numpy(src, tris, inv_affines, out, owner):
-    H, W = out.shape
-    sh, sw = src.shape
+def rasterize(src: np.ndarray, tris: np.ndarray, inv_affines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Render `src` through a triangle mesh.
+
+    tris: (K, 3, 2) output-space triangle vertices; inv_affines: (K, 2, 3)
+    affine maps from output pixels back into `src` coordinates.  Triangles
+    are rasterized in index order and the first (lowest-index) triangle
+    containing a pixel wins, which settles pixels on shared edges.  Returns
+    (image, owner) where owner[y, x] is the triangle index or -1.
+
+    All triangles are taken in one whole-array pass.  On one row of a
+    triangle's box an edge value c - b * (x - xa) is monotone in x, since
+    each rounding step is, so the pixels passing it are a prefix of the row
+    (b > 0), a suffix (b < 0), or all or none of it (b == 0); a NaN value
+    fails.  Each row's run is the overlap of its three, found from the
+    closed-form flip xa + (c + tol) / b clipped to the box and then
+    searched to the exact flip of the loop's own expression.  Runs are
+    expanded a chunk of at most ``_RASTER_CHUNK`` pixels (or one longer
+    row) at a time, each pixel keeps the least index of the triangles whose
+    runs hold it, and the owned pixels are sampled in chunks of the same
+    size.  A triangle of zero or NaN area owns nothing.  The result equals
+    the per-triangle loop bit for bit.  Raises ValueError if a vertex is
+    not finite.
+    """
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    tris = np.ascontiguousarray(tris, dtype=np.float64)
+    inv_affines = np.ascontiguousarray(inv_affines, dtype=np.float64)
+    H, W = src.shape  # the output frame has src's shape
     K = tris.shape[0]
     if not np.isfinite(tris).all():
         raise ValueError("triangle vertices must be finite")
@@ -389,15 +430,16 @@ def _raster_numpy(src, tris, inv_affines, out, owner):
             pix = np.arange(nr.sum()) + np.repeat(run0[r] - (np.cumsum(nr) - nr), nr)
             np.minimum.at(first, pix, np.repeat(rt[r], nr))
 
-    # pixels a caller already owns stay as they are
-    owned = np.flatnonzero((first < K) & (owner.reshape(-1) < 0))
+    owned = np.flatnonzero(first < K)
+    out = np.zeros((H, W))
+    owner = np.full((H, W), -1, dtype=np.int64)
     a = inv_affines.reshape(K, 6)
     flat = src.reshape(-1)
     # the right, lower and diagonal neighbours of each gathered pixel; a
     # 1-px-wide (or -high) src clamps x0 (y0) to -1, and 2-D indexing wraps
     # both of its columns (rows) onto column (row) 0
-    dx = 1 if sw > 1 else 0
-    dy = sw if sh > 1 else 0
+    dx = 1 if W > 1 else 0
+    dy = W if H > 1 else 0
     right, below, diag = flat[dx:], flat[dy:], flat[dx + dy:]
     for lo in range(0, owned.size, _RASTER_CHUNK):
         pix = owned[lo:lo + _RASTER_CHUNK]
@@ -408,19 +450,19 @@ def _raster_numpy(src, tris, inv_affines, out, owner):
         yy = yi.astype(np.float64)
         sx = a[:, 0].take(t) * xx + a[:, 1].take(t) * yy + a[:, 2].take(t)
         sy = a[:, 3].take(t) * xx + a[:, 4].take(t) * yy + a[:, 5].take(t)
-        ok = ((sx >= -_SRC_TOL) & (sx <= sw - 1.0 + _SRC_TOL)
-              & (sy >= -_SRC_TOL) & (sy <= sh - 1.0 + _SRC_TOL))
+        ok = ((sx >= -_SRC_TOL) & (sx <= W - 1.0 + _SRC_TOL)
+              & (sy >= -_SRC_TOL) & (sy <= H - 1.0 + _SRC_TOL))
         inside = ok.all()
         if not inside:
             sx, sy = sx[ok], sy[ok]
-        gx = np.minimum(np.maximum(sx, 0.0), sw - 1.0)
-        gy = np.minimum(np.maximum(sy, 0.0), sh - 1.0)
+        gx = np.minimum(np.maximum(sx, 0.0), W - 1.0)
+        gy = np.minimum(np.maximum(sy, 0.0), H - 1.0)
         # gx, gy >= 0, so truncation is floor
-        x0 = np.minimum(gx.astype(np.intp), sw - 2)
-        y0 = np.minimum(gy.astype(np.intp), sh - 2)
+        x0 = np.minimum(gx.astype(np.intp), W - 2)
+        y0 = np.minimum(gy.astype(np.intp), H - 2)
         fx = gx - x0
         fy = gy - y0
-        i = np.maximum(y0, 0) * sw + np.maximum(x0, 0)
+        i = np.maximum(y0, 0) * W + np.maximum(x0, 0)
         hx = 1.0 - fx
         hy = 1.0 - fy
         vals = (flat.take(i) * hx * hy + right.take(i) * fx * hy
@@ -430,63 +472,3 @@ def _raster_numpy(src, tris, inv_affines, out, owner):
             vals[ok] = v
         np.put(out, pix, vals)
     return out, owner
-
-
-def corner_min_eig(img: np.ndarray, radius: int = 3) -> np.ndarray:
-    """Minimum-eigenvalue corner response over a (2*radius+1)^2 window."""
-    img = np.ascontiguousarray(img, dtype=np.float64)
-    gx, gy = gradients(img)
-    return _corner_numpy(gx, gy, radius)
-
-
-def lk_refine_level(prev, nxt, gx, gy, pts, disp, status, radius, max_iter,
-                    eps, min_eig_thr, strict=True, *, windows=None):
-    """Refine per-point displacements at one pyramid level (in place).
-
-    pts are level-scaled positions in `prev`; disp holds the current
-    displacement guesses and is updated.  With strict=True points that
-    leave the frame or sit on degenerate texture get status 0 and keep
-    their displacement; with strict=False (coarse pyramid levels) they keep
-    their status so a finer level can still judge them, and a point that
-    left the frame keeps its last iterate.
-
-    windows: an optional ``Windows`` store.  Points it sampled from this
-    same `prev` array at bit-equal coordinates reuse its windows; on
-    return it holds this call's windows.  The result is the same with or
-    without it.
-    """
-    return _lk_numpy(prev, nxt, gx, gy, pts, disp, status,
-                     radius, max_iter, eps, min_eig_thr, 1 if strict else 0,
-                     windows)
-
-
-def rasterize(src: np.ndarray, tris: np.ndarray, inv_affines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Render `src` through a triangle mesh.
-
-    tris: (K, 3, 2) output-space triangle vertices; inv_affines: (K, 2, 3)
-    affine maps from output pixels back into `src` coordinates.  Triangles
-    are rasterized in index order and the first (lowest-index) triangle
-    containing a pixel wins, which settles pixels on shared edges.  Returns
-    (image, owner) where owner[y, x] is the triangle index or -1.
-
-    All triangles are taken in one whole-array pass.  On one row of a
-    triangle's box an edge value c - b * (x - xa) is monotone in x, since
-    each rounding step is, so the pixels passing it are a prefix of the row
-    (b > 0), a suffix (b < 0), or all or none of it (b == 0); a NaN value
-    fails.  Each row's run is the overlap of its three, found from the
-    closed-form flip xa + (c + tol) / b clipped to the box and then
-    searched to the exact flip of the loop's own expression.  Runs are
-    expanded a chunk of at most ``_RASTER_CHUNK`` pixels (or one longer
-    row) at a time, each pixel keeps the least index of the triangles whose
-    runs hold it, and the owned pixels are sampled in chunks of the same
-    size.  A triangle of zero or NaN area owns nothing.  The result equals
-    the per-triangle loop bit for bit.  Raises ValueError if a vertex is
-    not finite.
-    """
-    H, W = src.shape
-    out = np.zeros((H, W))
-    owner = np.full((H, W), -1, dtype=np.int64)
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tris = np.ascontiguousarray(tris, dtype=np.float64)
-    inv_affines = np.ascontiguousarray(inv_affines, dtype=np.float64)
-    return _raster_numpy(src, tris, inv_affines, out, owner)

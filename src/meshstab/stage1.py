@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import DegenerateGeometryError, SolverError
 from .mesh import AREA_EPS, FrameMesh, _orient, build_all_meshes
@@ -87,6 +88,8 @@ class StageOneConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.solver_tol > 0.0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+        if self.max_iter_factor < 1:
+            raise ValueError(f"max_iter_factor must be >= 1, got {self.max_iter_factor}")
 
 
 class UnknownIndex:
@@ -212,6 +215,13 @@ class QuadraticProblem:
         tol: float = 1e-10,
         max_iter_factor: int = 10,
     ) -> np.ndarray:
+        """The minimizer, the solution of A x = b.
+
+        Up to dense_cutoff unknowns a dense Cholesky factor solves it;
+        above, scipy's conjugate gradient with the Jacobi preconditioner,
+        started from x0, stops once ||A x - b|| <= tol * ||b|| and raises
+        SolverError after max_iter_factor * n iterations.
+        """
         if self.n == 0:
             return np.zeros(0)
         a = self.matrix()
@@ -221,55 +231,24 @@ class QuadraticProblem:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"normal matrix not positive definite: {exc}") from None
             return scipy.linalg.cho_solve(cf, self.b)
-        if x0 is None:
-            x0 = np.zeros(self.n)
-        return _pcg(a, self.b, x0, tol, max_iter_factor * self.n)
-
-
-def _pcg(a, b, x0, tol, max_iter):
-    """Conjugate gradient with diagonal preconditioning.
-
-    Stops when ||A x - b|| <= tol * ||b||.  The regularizer puts the
-    identity inside A, so the diagonal is strictly positive and the
-    smallest eigenvalue is at least the reg weight; convergence is fast in
-    practice.
-    """
-    diag = np.asarray(a.diagonal())
-    if np.any(diag <= 0.0):
-        raise SolverError("normal matrix has a non-positive diagonal entry")
-    inv_diag = 1.0 / diag
-    bnorm = float(np.linalg.norm(b))
-    target = tol * bnorm if bnorm > 0.0 else tol
-    x = x0.astype(np.float64, copy=True)
-    r = b - a @ x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rnorm <= target:
-            return x
-        ap = a @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
+        if max_iter_factor < 1:
+            # cg would return after no iteration and report success
+            raise ValueError(f"max_iter_factor must be >= 1, got {max_iter_factor}")
+        diag = a.diagonal()
+        if np.any(diag <= 0.0):
+            raise SolverError("normal matrix has a non-positive diagonal entry")
+        # times the reciprocal, as the tests' loop oracle does; r / diag rounds differently
+        inv_diag = 1.0 / diag
+        jacobi = scipy.sparse.linalg.LinearOperator(a.shape, matvec=lambda r: inv_diag * r,
+                                                    dtype=np.float64)
+        x, info = scipy.sparse.linalg.cg(a, self.b, x0, rtol=tol,
+                                         maxiter=max_iter_factor * self.n, M=jacobi)
+        if info != 0:
             raise SolverError(
-                "encountered non-positive curvature; matrix is not positive definite",
-                residual=rnorm,
+                f"conjugate gradient did not reach tolerance in {info} iterations",
+                residual=float(np.linalg.norm(self.b - a @ x)),
             )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if rnorm <= target:
         return x
-    raise SolverError(
-        f"conjugate gradient did not reach tolerance in {max_iter} iterations",
-        residual=rnorm,
-    )
 
 
 # --- term assembly ---

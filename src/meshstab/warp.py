@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateGeometryError, ParseError, read_text
 from .frames import GrayFrame
-from .mesh import AREA_EPS, FrameMesh
+from .mesh import AREA_EPS, FrameMesh, _orient
 from .stage2 import StabilizedControlPoints
 from .trajectory import TrajectorySet
 
@@ -61,10 +61,7 @@ def triangle_affine(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         # pure translation (identity included): exact coefficients, no
         # solver round-off
         return np.array([[1.0, 0.0, d[0, 0]], [0.0, 1.0, d[0, 1]]])
-    cross = (src[1, 0] - src[0, 0]) * (src[2, 1] - src[0, 1]) - (
-        src[2, 0] - src[0, 0]
-    ) * (src[1, 1] - src[0, 1])
-    if abs(cross) <= 2.0 * AREA_EPS:
+    if abs(_orient(*src)) <= 2.0 * AREA_EPS:
         raise DegenerateGeometryError("source triangle is degenerate")
     m = np.column_stack([src, np.ones(3)])
     coef = np.linalg.solve(m, dst)
@@ -83,25 +80,17 @@ def _triangle_affines(src: np.ndarray, dst: np.ndarray, tris: np.ndarray) -> np.
     out = np.zeros((len(tris), 2, 3))
     out[:, 0, 0] = out[:, 1, 1] = 1.0
     out[:, :, 2] = d[:, 0]
-    if (np.abs(_triangle_cross(src, tris[moved])) <= 2.0 * AREA_EPS).any():
+    if (np.abs(_orient(*s[moved].transpose(1, 2, 0))) <= 2.0 * AREA_EPS).any():
         raise DegenerateGeometryError("source triangle is degenerate")
     m = np.concatenate([s[moved], np.ones((moved.sum(), 3, 1))], axis=2)
     out[moved] = np.swapaxes(np.linalg.solve(m, t[moved]), 1, 2)
     return out
 
 
-def _triangle_cross(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each triangle."""
-    p = pts[tris]
-    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-
-
 def _flagged_triangles(src: np.ndarray, dst: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Indices of triangles whose stabilized copy flipped or collapsed."""
-    cs = _triangle_cross(src, tris)
-    cd = _triangle_cross(dst, tris)
+    cs = _orient(*src[tris].transpose(1, 2, 0))
+    cd = _orient(*dst[tris].transpose(1, 2, 0))
     return np.nonzero(np.sign(cs) * cd <= 2.0 * AREA_EPS)[0]
 
 

@@ -251,6 +251,13 @@ def test_bad_config_value_exits_three(tmp_path, caplog):
                          "--set", f"{key}=nan", "--set", "dense_cutoff=0"])
         assert code == 3
         assert key in caplog.text
+    # cg stops after max_iter_factor * n iterations, so a factor below 1 is refused
+    for value in ("0", "-3"):
+        caplog.clear()
+        code = cli.main(["stabilize", str(bad), "--out", str(tmp_path / "o"),
+                         "--set", f"max_iter_factor={value}", "--set", "dense_cutoff=0"])
+        assert code == 3
+        assert "max_iter_factor" in caplog.text
 
 
 def test_malloc_pin_falls_back_without_glibc(monkeypatch, capsys):
@@ -426,9 +433,24 @@ def test_synth_truth_output(tmp_path):
 def test_solver_failure_exits_four(tmp_path):
     traj = _synth(tmp_path, "s.traj")
     code = cli.main(["stabilize", str(traj), "--out", str(tmp_path / "o.traj"),
-                     "--set", "max_iter_factor=0",
+                     "--set", "solver_tol=1e-300", "--set", "max_iter_factor=1",
                      "--set", "dense_cutoff=0"])
     assert code == 4
+
+
+def test_fallback_warning_names_the_count_and_the_first_ten_frames(tmp_path, caplog):
+    traj = _synth(tmp_path, "s.traj")
+    lines = traj.read_text(encoding="utf-8").split("\n")
+    frames, width, height = lines[0].split()
+    assert frames == "45"
+    lines[0] = f"75 {width} {height}"  # 30 frames that no trajectory reaches
+    traj.write_text("\n".join(lines), encoding="utf-8")
+    caplog.clear()
+    assert cli.main(["stabilize", str(traj), "--out", str(tmp_path / "o.traj")]) == 0
+    [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert re.search(r"on 30 frame\(s\), first: \[45, 46, .*, 54\]$", warning)
+    assert warning.count(",") == 10
+    assert "stage2_fallback_frames=30" in (tmp_path / "o.traj.manifest").read_text()
 
 
 def test_stabilize_evaluate_roundtrip(tmp_path):

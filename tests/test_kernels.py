@@ -74,7 +74,7 @@ def _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
         py = pts[i, 1]
         if (px - radius < 0.0 or px + radius > W - 2.0
                 or py - radius < 0.0 or py + radius > H - 2.0):
-            if strict != 0:
+            if strict:
                 status[i] = 0
             continue
         tmpl = np.empty((k, k))
@@ -109,12 +109,12 @@ def _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
         dd = sxx - syy
         min_eig = 0.5 * ((sxx + syy) - np.sqrt(dd * dd + 4.0 * sxy * sxy))
         if min_eig / (k * k) < min_eig_thr:
-            if strict != 0:
+            if strict:
                 status[i] = 0
             continue
         det = sxx * syy - sxy * sxy
         if det <= 0.0:
-            if strict != 0:
+            if strict:
                 status[i] = 0
             continue
         dx = disp[i, 0]
@@ -152,7 +152,7 @@ def _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
             dy += uy
             if ux * ux + uy * uy < eps * eps:
                 break
-        if not ok and strict != 0:
+        if not ok and strict:
             status[i] = 0
             continue
         disp[i, 0] = dx
@@ -160,9 +160,10 @@ def _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
     return disp, status
 
 
-def _raster_loops(src, tris, inv_affines, out, owner):
-    H, W = out.shape
-    sh, sw = src.shape
+def _raster_loops(src, tris, inv_affines):
+    H, W = sh, sw = src.shape
+    out = np.zeros((H, W))
+    owner = np.full((H, W), -1, dtype=np.int64)
     K = tris.shape[0]
     for t in range(K):
         x1 = tris[t, 0, 0]
@@ -246,9 +247,7 @@ def test_corner_backends_agree():
     img = world_texture(rng, 40, 32)
     gx, gy = kernels.gradients(img)
     ref = _corner_loops(gx, gy, 3)
-    alt = kernels._corner_numpy(gx, gy, 3)
     scale = max(np.abs(ref).max(), 1.0)
-    assert np.abs(ref - alt).max() <= 1e-9 * scale
     pub = kernels.corner_min_eig(img, 3)
     assert np.abs(pub - ref).max() <= 1e-9 * scale
 
@@ -279,10 +278,10 @@ def test_lk_backends_agree(strict):
     kw = dict(radius=7, max_iter=30, eps=0.01, min_eig_thr=1e-4)
     d1 = np.zeros_like(pts)
     s1 = np.ones(len(pts), dtype=np.int64)
-    _lk_loops(*args, pts, d1, s1, strict=1 if strict else 0, **kw)
+    _lk_loops(*args, pts, d1, s1, strict=strict, **kw)
     d2 = np.zeros_like(pts)
     s2 = np.ones(len(pts), dtype=np.int64)
-    kernels._lk_numpy(*args, pts, d2, s2, strict=1 if strict else 0, **kw)
+    kernels.lk_refine_level(*args, pts, d2, s2, strict=strict, **kw)
     assert np.array_equal(s1, s2)
     assert np.allclose(d1, d2, atol=1e-9)
     # border point must be dropped only in strict mode
@@ -303,7 +302,7 @@ def test_lk_flat_region_drops_point_in_strict_mode():
         disp = np.zeros((1, 2))
         status = np.ones(1, dtype=np.int64)
         impl(flat, nxt, gx, gy, pts, disp, status,
-             radius=7, max_iter=30, eps=0.01, min_eig_thr=1e-4, strict=1)
+             radius=7, max_iter=30, eps=0.01, min_eig_thr=1e-4, strict=True)
         assert status[0] == 0
 
 
@@ -333,7 +332,7 @@ def test_lk_exit_paths_match_oracle(strict):
     status0[7] = 0
     kw = dict(radius=7, max_iter=30, eps=0.01, min_eig_thr=1e-4)
     d1, s1 = disp0.copy(), status0.copy()
-    _lk_loops(prev, nxt, gx, gy, pts, d1, s1, strict=1 if strict else 0, **kw)
+    _lk_loops(prev, nxt, gx, gy, pts, d1, s1, strict=strict, **kw)
     d2, s2 = disp0.copy(), status0.copy()
     kernels.lk_refine_level(prev, nxt, gx, gy, pts, d2, s2, strict=strict, **kw)
     assert np.array_equal(s2, s1)
@@ -474,7 +473,7 @@ def test_tracker_matches_loop_oracle(monkeypatch):
     def loops(prev, nxt, gx, gy, pts, disp, status, radius, max_iter, eps,
               min_eig_thr, strict=True, *, windows=None):
         return _lk_loops(prev, nxt, gx, gy, pts, disp, status, radius,
-                         max_iter, eps, min_eig_thr, 1 if strict else 0)
+                         max_iter, eps, min_eig_thr, strict)
 
     monkeypatch.setattr(kernels, "lk_refine_level", loops)
     slow = build_trajectories(frames, cfg)
@@ -505,14 +504,7 @@ def test_raster_backends_agree():
     src = rng.uniform(0, 255, (H, W))
     tris_xy = np.ascontiguousarray(fw.dst[fw.triangles])
     inv = np.ascontiguousarray(fw.inverse_affines())
-    out1 = np.zeros((H, W))
-    own1 = np.full((H, W), -1, dtype=np.int64)
-    _raster_loops(src, tris_xy, inv, out1, own1)
-    out2 = np.zeros((H, W))
-    own2 = np.full((H, W), -1, dtype=np.int64)
-    kernels._raster_numpy(src, tris_xy, inv, out2, own2)
-    assert np.array_equal(own1, own2)
-    assert np.array_equal(out1, out2)
+    out1, own1 = _raster_loops(src, tris_xy, inv)
     out3, own3 = kernels.rasterize(src, tris_xy, inv)
     assert own3.dtype == np.int64
     assert np.array_equal(own3, own1)
@@ -523,20 +515,12 @@ def _identity_affines(k):
     return np.tile(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (k, 1, 1))
 
 
-def _raster_matches_oracle(src, tris, inv, shape=None):
+def _raster_matches_oracle(src, tris, inv):
     """Rasterize with the kernel and with the loops; both must be equal."""
     tris = np.asarray(tris, dtype=np.float64)
     inv = np.asarray(inv, dtype=np.float64)
-    shape = src.shape if shape is None else shape
-    out1 = np.zeros(shape)
-    own1 = np.full(shape, -1, dtype=np.int64)
-    _raster_loops(src, tris, inv, out1, own1)
-    if shape == src.shape:
-        out2, own2 = kernels.rasterize(src, tris, inv)
-    else:
-        out2 = np.zeros(shape)
-        own2 = np.full(shape, -1, dtype=np.int64)
-        kernels._raster_numpy(src, tris, inv, out2, own2)
+    out1, own1 = _raster_loops(src, tris, inv)
+    out2, own2 = kernels.rasterize(src, tris, inv)
     assert np.array_equal(own2, own1)
     assert np.array_equal(out2, out1)
     return out2, own2
@@ -608,7 +592,7 @@ def test_raster_samples_outside_src_write_zero():
         small = rng.uniform(10, 255, shape)
         inv1 = _identity_affines(2)
         inv1[:, :, :2] *= 0.05
-        out1, _ = _raster_matches_oracle(small, tris, inv1, shape=(16, 20))
+        out1, _ = _raster_matches_oracle(small, tris, inv1)
         assert (out1 > 0.0).any()
 
 

@@ -221,3 +221,22 @@ def test_warpfield_integers_beyond_int64_load_or_raise_parse_error(data):
             return
     # every count a load accepts is held as int64 downstream
     np.array([len(field.frames), *field.frame_size, field.n_controls], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_trajectory_integers_beyond_int64_load_or_raise_parse_error(data):
+    # the header's frames, width and height, and each record's id and start
+    lines = [ln.split() for ln in _CASES["trajectories"][1].splitlines()]
+    fields = [(0, k) for k in range(3)] + [(i, k) for i in range(1, len(lines)) for k in (0, 1)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, k = data.draw(st.sampled_from(fields))
+        lines[i][k] = str(data.draw(_WIDE_INTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "\n".join(map(" ".join, lines)).encode("utf-8"))
+        try:
+            ts, _ = _load_trajectories_and_table(path)
+        except ParseError:
+            return
+    # every count a load accepts is held as int64 downstream
+    np.array([ts.frame_count, *ts.frame_size], dtype=np.int64)

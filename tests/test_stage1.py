@@ -413,9 +413,80 @@ def test_nonconvergence_raises_with_residual():
     rng = np.random.default_rng(83)
     _, _, _, _, prob = _instance(rng)
     with pytest.raises(SolverError) as exc:
-        prob.solve_vector(x0=np.zeros(prob.n), dense_cutoff=0, tol=1e-14,
-                          max_iter_factor=0)
+        prob.solve_vector(x0=np.zeros(prob.n), dense_cutoff=0, tol=1e-300,
+                          max_iter_factor=1)
     assert exc.value.residual is not None and exc.value.residual > 0
+
+
+def _pcg_oracle(a, b, x0, tol, max_iter):
+    """The hand-written Jacobi-preconditioned CG that scipy's cg replaced.
+
+    Stops when ||A x - b|| <= tol * ||b||; raises SolverError on
+    non-positive curvature or when max_iter iterations do not get there.
+    """
+    inv_diag = 1.0 / np.asarray(a.diagonal())
+    bnorm = float(np.linalg.norm(b))
+    target = tol * bnorm if bnorm > 0.0 else tol
+    x = x0.astype(np.float64, copy=True)
+    r = b - a @ x
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if rnorm <= target:
+            return x
+        ap = a @ p
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            raise SolverError("non-positive curvature", residual=rnorm)
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        rnorm = float(np.linalg.norm(r))
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if rnorm <= target:
+        return x
+    raise SolverError(f"no convergence in {max_iter} iterations", residual=rnorm)
+
+
+def test_iterative_route_equals_pcg_oracle():
+    rng = np.random.default_rng(84)
+    for k in range(6):
+        _, _, _, cfg, prob = _instance(rng, staggered=k % 2 == 1)
+        for x0 in (prob.index.x0.copy(), None):
+            got = prob.solve_vector(x0=x0, dense_cutoff=0, tol=cfg.solver_tol,
+                                    max_iter_factor=cfg.max_iter_factor)
+            start = np.zeros(prob.n) if x0 is None else x0
+            want = _pcg_oracle(prob.matrix(), prob.b, start, cfg.solver_tol,
+                               cfg.max_iter_factor * prob.n)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_singular_semidefinite_problem_raises_solver_error():
+    # one difference row over two unknowns and no regularizer: A is
+    # singular, and b lies outside its range, so no x solves A x = b
+    prob = s1.QuadraticProblem(2)
+    prob.add_batch(1.0, [[0, 1]], [[1.0, -1.0]])
+    prob.b[:] = [1.0, 0.0]
+    for cutoff in (0, 2):  # conjugate gradient, then the dense Cholesky
+        with pytest.raises(SolverError):
+            prob.solve_vector(dense_cutoff=cutoff)
+
+
+def test_max_iter_factor_below_one_is_rejected():
+    rng = np.random.default_rng(85)
+    _, _, _, _, prob = _instance(rng)
+    for factor in (0, -3):
+        with pytest.raises(ValueError, match="max_iter_factor"):
+            s1.StageOneConfig(max_iter_factor=factor)
+        # cg would report success after no iteration at all
+        with pytest.raises(ValueError, match="max_iter_factor"):
+            prob.solve_vector(dense_cutoff=0, max_iter_factor=factor)
 
 
 def _dump_problem(prob) -> str:
