@@ -5,6 +5,11 @@ ground truth), triangulate each frame over the features plus a fixed border
 ring, solve a two-stage sparse quadratic program for stabilized feature and
 control-point positions, then warp each frame through its per-triangle
 affine maps.  `meshstab.cli` exposes the same steps as subcommands.
+
+Each module imports the scipy subpackage it computes with inside the
+function that calls it, so importing meshstab loads none of them and each
+subcommand loads only its own: scipy.fft for evaluate, and scipy.sparse,
+scipy.linalg and scipy.spatial for stabilize.
 """
 
 from __future__ import annotations

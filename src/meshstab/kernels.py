@@ -85,8 +85,9 @@ def corner_min_eig(img: np.ndarray, radius: int = 3) -> np.ndarray:
 # --- iterative translational flow refinement at one pyramid level ---
 
 # points whose windows are sampled at once: each temporary then stays under
-# 128 KiB.  On video_track (2-core x86-64) tracking took about 30 ms/frame
-# this way and 44-53 ms/frame with a whole level sampled at once.
+# 128 KiB.  Without cli._pin_malloc, tracking a 40-frame video_track clip
+# (2-core x86-64) took 35-42 ms/frame this way and 50-62 ms/frame with a
+# whole level sampled at once; with it the two were even.
 _LK_CHUNK = 32
 
 

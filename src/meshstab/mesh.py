@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 from .errors import DegenerateGeometryError
 from .trajectory import TrajectorySet
@@ -147,6 +146,8 @@ def triangulate(
     point out, when a triangle has area <= AREA_EPS or when a border segment
     is missing.  Cocircular ties are broken as Qhull breaks them.
     """
+    from scipy.spatial import Delaunay, cKDTree
+
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.signal import fftconvolve
 
 from .frames import GrayFrame
 from .trajectory import TrajectorySet
@@ -90,41 +88,23 @@ def ssim_pair(a: GrayFrame, b: GrayFrame) -> float:
     Local statistics use an 11x11 Gaussian window (sigma 1.5); the
     stabilizing constants come from K1=0.01 / K2=0.03 at dynamic range 255.
     Identical frames score exactly 1.0 and the value is symmetric in its
-    arguments.
+    arguments.  This is ``video_ssim`` of the two frames.
     """
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"frame sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    if a.width < SSIM_WINDOW or a.height < SSIM_WINDOW:
-        raise ValueError(f"frames must be at least {SSIM_WINDOW} px on a side")
-    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    pa, pb = a.data, b.data
-    mu_a = fftconvolve(pa, win, mode="valid")
-    mu_b = fftconvolve(pb, win, mode="valid")
-    mu_aa = mu_a * mu_a
-    mu_bb = mu_b * mu_b
-    mu_ab = mu_a * mu_b
-    var_a = fftconvolve(pa * pa, win, mode="valid") - mu_aa
-    var_b = fftconvolve(pb * pb, win, mode="valid") - mu_bb
-    cov = fftconvolve(pa * pb, win, mode="valid") - mu_ab
-    c1 = (SSIM_K1 * SSIM_RANGE) ** 2
-    c2 = (SSIM_K2 * SSIM_RANGE) ** 2
-    num = (2.0 * mu_ab + c1) * (2.0 * cov + c2)
-    den = (mu_aa + mu_bb + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return video_ssim((a, b)).pairs[0]
 
 
 def video_ssim(frames: Sequence[GrayFrame]) -> SsimReport:
     """Average SSIM over every adjacent frame pair.
 
-    Each pair equals ``ssim_pair`` bit for bit: the same checks, raised at
-    the same pair, and the same expressions.  The blur is ``fftconvolve``'s
-    'valid' convolution done by hand: the window's ``rfftn`` at the padded
-    shape is taken once per clip, so each blur costs one forward and one
-    inverse transform.  A frame's blurred mean and square are carried from
-    one pair to the next, so a pair costs 3 blurs, not 5.
+    The blur is ``scipy.signal.fftconvolve``'s 'valid' convolution done by
+    hand, bit for bit: the window's ``rfftn`` at the padded shape is taken
+    once per clip, so each blur costs one forward and one inverse transform.
+    A frame's blurred mean and square are carried from one pair to the
+    next, so a pair costs 3 blurs, not 5.  Frame sizes are checked pair by
+    pair, so a mismatch raises at the first pair it breaks.
     """
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
     c1 = (SSIM_K1 * SSIM_RANGE) ** 2

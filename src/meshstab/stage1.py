@@ -35,9 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DegenerateGeometryError, SolverError
 from .mesh import AREA_EPS, FrameMesh, _orient, build_all_meshes
@@ -184,6 +181,8 @@ class QuadraticProblem:
         self._mat = None
 
     def matrix(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse
+
         if self._mat is None:
             if not self._rows:
                 return scipy.sparse.csr_matrix((self.n, self.n))
@@ -226,6 +225,8 @@ class QuadraticProblem:
             return np.zeros(0)
         a = self.matrix()
         if self.n <= dense_cutoff:
+            import scipy.linalg
+
             try:
                 cf = scipy.linalg.cho_factor(a.toarray())
             except np.linalg.LinAlgError as exc:
@@ -237,6 +238,8 @@ class QuadraticProblem:
         diag = a.diagonal()
         if np.any(diag <= 0.0):
             raise SolverError("normal matrix has a non-positive diagonal entry")
+        import scipy.sparse.linalg
+
         # times the reciprocal, as the tests' loop oracle does; r / diag rounds differently
         inv_diag = 1.0 / diag
         jacobi = scipy.sparse.linalg.LinearOperator(a.shape, matvec=lambda r: inv_diag * r,

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .mesh import FrameMesh
 from .stage1 import QuadraticProblem, StageOneConfig, intersim_rows, intrasim_rows
@@ -73,6 +72,8 @@ def _solve_blocks(prob: QuadraticProblem, m: int) -> tuple[np.ndarray, np.ndarra
     Returns x (blocks, m) and whether each block was solved; a singular
     block's x is left at 0.
     """
+    import scipy.linalg
+
     a = prob.matrix().tocoo()
     blocks = np.zeros((prob.n // m, m, m))
     blocks[a.row // m, a.row % m, a.col % m] = a.data

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from . import kernels
 from .frames import GrayFrame
@@ -87,6 +86,17 @@ def _check_frame(frame: GrayFrame) -> None:
         )
 
 
+def _max3x3(a: np.ndarray) -> np.ndarray:
+    """Each pixel's 3x3 neighbourhood maximum, the edge pixel repeated outward.
+
+    Equal to scipy.ndimage.maximum_filter(a, size=3), whose 'reflect' mode
+    repeats the edge pixel at this size.
+    """
+    p = np.pad(a, 1, mode="edge")
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+
+
 def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> list[np.ndarray]:
     """Detect corner points, sorted by descending score then row-major position."""
     _check_frame(frame)
@@ -104,7 +114,7 @@ def detect_corners(frame: GrayFrame, cfg: TrackerConfig = TrackerConfig()) -> li
     if peak <= 0.0:
         return []
     # 3x3 non-maximum suppression
-    is_max = (resp == maximum_filter(resp, size=3)) & (resp > 0.0)
+    is_max = (resp == _max3x3(resp)) & (resp > 0.0)
     ys, xs = np.nonzero(is_max)
     scores = resp[ys, xs]
     order = np.lexsort((xs, ys, -scores))

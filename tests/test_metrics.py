@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from meshstab import metrics
 from meshstab.frames import GrayFrame
@@ -70,6 +72,32 @@ def test_score_invariant_under_rotation_and_shift():
         da = metrics.stability_score(_one(base, 40, (1000, 1000))).mean
         db = metrics.stability_score(_one(moved, 40, (1000, 1000))).mean
         assert abs(da - db) < 1e-9
+
+
+def _ssim_pair_oracle(a: GrayFrame, b: GrayFrame) -> float:
+    """SSIM of one pair through scipy's fftconvolve, five blurs of its own;
+    the formula ssim_pair computed before it became video_ssim of two frames."""
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(
+            f"frame sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
+        )
+    if a.width < metrics.SSIM_WINDOW or a.height < metrics.SSIM_WINDOW:
+        raise ValueError(f"frames must be at least {metrics.SSIM_WINDOW} px on a side")
+    win = metrics._gaussian_window(metrics.SSIM_WINDOW, metrics.SSIM_SIGMA)
+    pa, pb = a.data, b.data
+    mu_a = fftconvolve(pa, win, mode="valid")
+    mu_b = fftconvolve(pb, win, mode="valid")
+    mu_aa = mu_a * mu_a
+    mu_bb = mu_b * mu_b
+    mu_ab = mu_a * mu_b
+    var_a = fftconvolve(pa * pa, win, mode="valid") - mu_aa
+    var_b = fftconvolve(pb * pb, win, mode="valid") - mu_bb
+    cov = fftconvolve(pa * pb, win, mode="valid") - mu_ab
+    c1 = (metrics.SSIM_K1 * metrics.SSIM_RANGE) ** 2
+    c2 = (metrics.SSIM_K2 * metrics.SSIM_RANGE) ** 2
+    num = (2.0 * mu_ab + c1) * (2.0 * cov + c2)
+    den = (mu_aa + mu_bb + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 def test_ssim_identical_frames_is_exactly_one():
@@ -181,6 +209,33 @@ def test_video_ssim_pairs_equal_ssim_pair_on_any_size(width, height, count, odd,
     assert got == want
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(11, 90), height=st.integers(11, 90), count=st.integers(2, 5),
+       odd=st.none() | st.tuples(st.integers(0, 4), st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)])),
+       seed=st.integers(0, 2**32 - 1))
+@example(width=11, height=11, count=3, odd=None, seed=1)
+@example(width=79, height=11, count=2, odd=None, seed=2)
+@example(width=90, height=90, count=5, odd=None, seed=3)
+@example(width=40, height=30, count=5, odd=(3, (1, 0)), seed=4)
+@example(width=11, height=12, count=4, odd=(1, (0, -1)), seed=5)
+@example(width=11, height=11, count=2, odd=(0, (-1, 0)), seed=6)
+def test_ssim_matches_fftconvolve_oracle(width, height, count, odd, seed):
+    """ssim_pair and every pair of video_ssim equal the fftconvolve formula
+    bit for bit; a frame 1 px off raises the same error at the same pair."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0, 255, (height, width))
+    frames = [GrayFrame.from_array(np.clip(base + rng.normal(0, 30, base.shape), 0, 255))
+              for _ in range(count)]
+    if odd is not None and odd[0] < count:
+        k, (dw, dh) = odd
+        frames[k] = GrayFrame.from_array(rng.uniform(0, 255, (height + dh, width + dw)))
+    want = _pairs_or_error(lambda: tuple(_ssim_pair_oracle(a, b)
+                                         for a, b in zip(frames, frames[1:])))
+    assert _pairs_or_error(lambda: metrics.video_ssim(frames).pairs) == want
+    assert _pairs_or_error(lambda: tuple(metrics.ssim_pair(a, b)
+                                         for a, b in zip(frames, frames[1:]))) == want
+
+
 def test_video_ssim_transforms_the_window_once(monkeypatch):
     """One window spectrum per call, and one rfftn and one irfftn per blur:
     5 blurs for the first pair, 3 for each later one."""
@@ -194,12 +249,12 @@ def test_video_ssim_transforms_the_window_once(monkeypatch):
         calls["irfftn"] += 1
         return real_irfftn(x, *args, **kwargs)
 
-    real_rfftn, real_irfftn = metrics.rfftn, metrics.irfftn
+    real_rfftn, real_irfftn = scipy.fft.rfftn, scipy.fft.irfftn
     rng = np.random.default_rng(15)
     frames = [GrayFrame.from_array(rng.uniform(0, 255, (30, 40))) for _ in range(6)]
     want = metrics.video_ssim(frames)
-    monkeypatch.setattr(metrics, "rfftn", rfftn)
-    monkeypatch.setattr(metrics, "irfftn", irfftn)
+    monkeypatch.setattr(scipy.fft, "rfftn", rfftn)
+    monkeypatch.setattr(scipy.fft, "irfftn", irfftn)
     for n in (2, 6):
         calls.update(window=0, rfftn=0, irfftn=0)
         rep = metrics.video_ssim(frames[:n])

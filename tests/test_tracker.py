@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 
 from meshstab import kernels, tracker
 from meshstab.frames import GrayFrame
@@ -242,6 +243,25 @@ def test_top_up_matches_two_pass_loop(cells, n_global, min_per_cell, relaxed):
     _top_up_loop(cell, scores, ref, min_per_cell, relaxed)
     tracker._top_up_cells(cell, got, min_per_cell)
     assert np.array_equal(got, ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), levels=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=1, levels=4, seed=0)
+@example(h=1, w=40, levels=2, seed=1)
+@example(h=40, w=1, levels=2, seed=2)
+@example(h=40, w=40, levels=1, seed=3)
+def test_max3x3_matches_ndimage_maximum_filter(h, w, levels, seed):
+    """The 3x3 maximum equals scipy's maximum_filter(size=3) exactly: few
+    integer levels make plateaus of tied maxima, levels=1 an all-zero map."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, levels, (h, w)).astype(np.float64)
+    got = tracker._max3x3(a)
+    assert got.shape == a.shape
+    assert np.array_equal(got, maximum_filter(a, size=3))
+    noise = rng.uniform(-1.0, 1.0, (h, w))
+    assert np.array_equal(tracker._max3x3(noise), maximum_filter(noise, size=3))
 
 
 def test_pyramid_builds_only_usable_levels():
